@@ -45,7 +45,7 @@ Commands:
 * ``serve``              — run the simulation daemon: a long-lived
   process owning a persistent worker pool, snapshot/result caches,
   and a resident shared-memory template arena, serving concurrent
-  fleet/oracle/experiment jobs over HTTP + JSON lines with streaming
+  fleet/oracle/hunt/experiment jobs over HTTP + JSON lines with streaming
   partial reports, fair multi-tenant scheduling, and cancellation
   (docs/SERVE.md).  Options: ``--port P`` (0 = ephemeral), ``--host
   H``, ``--jobs N|auto``, ``--root PATH`` (persistent state dir; the
@@ -87,12 +87,24 @@ Commands:
   ``--no-snapshots`` (disable prefix-snapshot sharing), ``--verify-forks``
   (re-run a sample of forked cells from scratch and compare).
 
-Unknown commands exit with status 2 and a "did you mean" hint.
+Every subcommand parses its options with :func:`repro.cli.parse_options`
+(one parser, one set of messages): an unknown flag prints ``unexpected
+argument`` and the usage line, a flag without its value ``missing value
+for the last option``, an unparsable value ``bad option value``, and
+unknown commands and names get a "did you mean" hint — all exit 2.
+``fleet``, ``oracle`` and ``hunt`` take their flags from the job-kind
+table in ``repro/serve/protocol.py``: a flag that sets a job param works
+in-process and with ``--daemon`` alike, the kind's in-process-only flags
+are rejected with ``--daemon``, and both paths print the same text,
+write the same ``-o`` bytes and exit with the same code (3 when the
+daemon cancels the job).
 """
 
 from __future__ import annotations
 
 import sys
+
+from repro.cli import Option, parse_options, seed_int, unknown_command
 
 
 def main(argv: list[str]) -> int:
@@ -128,25 +140,15 @@ def main(argv: list[str]) -> int:
         return experiments_main([])
     if command in _MODULES:
         return experiments_main(argv)
-    return _unknown_command(
+    return unknown_command(
         command,
         ["demo", "experiments", "trace", "fleet", "oracle", "workload",
          "hunt", "serve", "bench-engine", *_MODULES],
     )
 
 
-def _unknown_command(command: str, known: list[str]) -> int:
-    import difflib
-
-    close = difflib.get_close_matches(command, known, n=1)
-    hint = f"; did you mean {close[0]!r}?" if close else ""
-    print(f"unknown command {command!r}{hint}")
-    print("known commands: " + ", ".join(known))
-    return 2
-
-
 # ----------------------------------------------------------------------
-# fleet subcommand
+# job subcommands: fleet, oracle, hunt
 # ----------------------------------------------------------------------
 _FLEET_USAGE = (
     "usage: python -m repro fleet [--devices N]"
@@ -158,278 +160,199 @@ _FLEET_USAGE = (
     " [--daemon URL] [--events-log PATH] [-o PATH]"
 )
 
+_ORACLE_USAGE = (
+    "usage: python -m repro oracle <app> [--policy NAME]..."
+    " [--seed N] [--member N] [--daemon URL] [-o PATH]"
+)
 
-def _parse_jobs(value: str) -> "int | str":
-    """``--jobs`` values: a worker count or the literal ``auto``.
+_HUNT_USAGE = (
+    "usage: python -m repro hunt [rules] [--apps N] [--seed N]"
+    " [--policy NAME]... [--jobs N|auto] [--no-cache]"
+    " [--daemon URL] [-o PATH]"
+)
 
-    ``auto`` resolves to one worker per core, bounded by the shard
-    count (the engine's :func:`_resolve_jobs` convention).  Anything
-    else raises with a did-you-mean hint — callers exit 2.
+_HUNT_SUBCOMMANDS = ["rules"]
+
+_OUTPUT = Option(("-o", "--output"), "out", noun="path")
+_SEED = Option(("--seed",), "seed", seed_int, 0x5EED)
+_MEMBER = Option(("--member",), "member", int, 0)
+
+
+def _parse_job_args(name: str, args: list[str], usage: str,
+                    positionals: tuple[str, ...] = ()):
+    """Parse a job subcommand's flags from its job-kind table row:
+    param flags, in-process-only flags, and the thin-client flags."""
+    from repro.serve.protocol import KINDS
+
+    kind = KINDS[name]
+    options = (*(param.option() for param in kind.params if param.flag),
+               *kind.local, *kind.client,
+               Option(("--daemon",), "daemon", noun="URL"), _OUTPUT)
+    return parse_options(args, options, usage, positionals)
+
+
+def _run_job(name: str, values) -> int:
+    """Run one parsed job on the daemon (``--daemon``) or in-process.
+
+    Both paths build the same settings through the kind's ``build`` and
+    print the same text, write the same report bytes and exit with the
+    same code; an unreachable daemon is noted on stderr and the job
+    runs in-process.
     """
-    if value == "auto":
-        return "auto"
-    try:
-        return int(value)
-    except ValueError:
-        import difflib
+    from repro.serve.protocol import BAD_REQUEST, KINDS
 
-        hint = (" (did you mean 'auto'?)"
-                if difflib.get_close_matches(value, ["auto"], n=1,
-                                             cutoff=0.6) else "")
-        raise ValueError(
-            f"--jobs expects a worker count or 'auto', got {value!r}{hint}"
-        ) from None
-
-
-def fleet_command(args: list[str]) -> int:
-    """Run a fleet simulation and print (optionally write) its report."""
-    devices = 120
-    policies: list[str] = []
-    faults_fraction = 0.0
-    oracle_rate = 0.0
-    jobs: "int | str | None" = None
-    shard_size = 32
-    seed = 0x5EED
-    out_path: str | None = None
-    checkpoint_path: str | None = None
-    checkpoint_every: int | None = None
-    collect_stats = False
-    verify_deltas = False
-    use_arena = True
-    workload_arg: str | None = None
-    phases_arg: str | None = None
-    daemon_url: str | None = None
-    events_log: str | None = None
-    walker = iter(args)
-    try:
-        for arg in walker:
-            if arg == "--devices":
-                devices = int(next(walker))
-            elif arg == "--policy":
-                policies.append(next(walker))
-            elif arg == "--faults":
-                faults_fraction = float(next(walker))
-            elif arg == "--oracle":
-                oracle_rate = float(next(walker))
-            elif arg == "--jobs":
-                jobs = _parse_jobs(next(walker))
-            elif arg == "--shard-size":
-                shard_size = int(next(walker))
-            elif arg == "--seed":
-                seed = int(next(walker), 0)
-            elif arg == "--checkpoint":
-                checkpoint_path = next(walker)
-            elif arg == "--checkpoint-every":
-                checkpoint_every = int(next(walker))
-                if checkpoint_every < 1:
-                    print("--checkpoint-every must be >= 1")
-                    return 2
-            elif arg == "--stats":
-                collect_stats = True
-            elif arg == "--verify-deltas":
-                verify_deltas = True
-            elif arg == "--no-arena":
-                use_arena = False
-            elif arg == "--workload":
-                workload_arg = next(walker)
-            elif arg == "--phases":
-                phases_arg = next(walker)
-            elif arg == "--daemon":
-                daemon_url = next(walker)
-            elif arg == "--events-log":
-                events_log = next(walker)
-            elif arg in ("-o", "--output"):
-                out_path = next(walker)
-            else:
-                print(f"unexpected argument {arg!r}")
-                print(_FLEET_USAGE)
-                return 2
-    except StopIteration:
-        print("missing value for the last option")
-        return 2
-    except ValueError as error:
-        print(f"bad option value: {error}")
-        return 2
-
-    from repro.errors import (
-        FleetError,
-        OracleError,
-        ServeError,
-        WorkloadError,
-    )
-    from repro.fleet import (
-        DEFAULT_CHECKPOINT_EVERY,
-        format_fleet_report,
-        run_fleet,
-    )
-    from repro.serve.protocol import fleet_spec_from_params
-
-    if workload_arg is not None and phases_arg is not None:
-        print("--workload and --phases are mutually exclusive "
-              "(a phase plan carries its own op distributions)")
-        return 2
-
-    # The params dict is the one spec description both execution paths
-    # share: the daemon client ships it over the wire, the in-process
-    # path feeds it to the same fleet_spec_from_params — so a daemon
-    # run can never mean a different fleet than a local one.
-    params: dict = {
-        "devices": devices,
-        "faults": faults_fraction,
-        "oracle": oracle_rate,
-        "seed": seed,
-        "shard_size": shard_size,
-    }
-    if policies:
-        params["policies"] = policies
-    if workload_arg is not None:
-        fragment, status = _resolve_fleet_workload(workload_arg)
-        if status:
-            return status
-        params.update(fragment)
-    if phases_arg is not None:
-        params["phases"] = phases_arg
-
-    if daemon_url is not None:
-        local_only = [flag for flag, given in [
-            ("--checkpoint", checkpoint_path is not None),
-            ("--checkpoint-every", checkpoint_every is not None),
-            ("--stats", collect_stats),
-            ("--verify-deltas", verify_deltas),
-            ("--no-arena", not use_arena),
-            ("--jobs", jobs is not None),
-        ] if given]
+    kind = KINDS[name]
+    params = {param.name: values[param.name] for param in kind.params
+              if values.get(param.name) not in (None, [])}
+    if values["daemon"] is not None:
+        local_only = [option.flags[0] for option in kind.local
+                      if option.dest in values.given]
         if local_only:
             print("these options run in-process and do not combine "
                   f"with --daemon: {', '.join(local_only)}")
             return 2
-        from repro.serve.client import DaemonClient
-
-        client = DaemonClient(daemon_url)
-        if client.available():
-            return _fleet_via_daemon(client, params, out_path, events_log)
-        print(f"note: daemon {daemon_url} unreachable; "
-              "running in-process", file=sys.stderr)
-
     try:
-        spec = fleet_spec_from_params(params)
-        result = run_fleet(
-            spec,
-            jobs=jobs,
-            use_arena=use_arena,
-            checkpoint_path=checkpoint_path,
-            checkpoint_every=(checkpoint_every
-                              if checkpoint_every is not None
-                              else DEFAULT_CHECKPOINT_EVERY),
-            verify_deltas=verify_deltas,
-            collect_stats=collect_stats,
-        )
-    except (FleetError, OracleError, WorkloadError, ServeError) as error:
-        print(f"fleet error: {error}")
+        settings = kind.build(params)
+        if values["daemon"] is not None:
+            from repro.serve.client import DaemonClient
+
+            client = DaemonClient(values["daemon"])
+            if client.available():
+                return _run_via_daemon(client, kind, params, values)
+            print(f"note: daemon {values['daemon']} unreachable; "
+                  "running in-process", file=sys.stderr)
+        local = {option.dest: values[option.dest] for option in kind.local}
+        done = kind.finish(settings, [kind.unit(payload, **local)
+                                      for payload in kind.units(settings)])
+    except BAD_REQUEST as error:
+        print(f"{name} error: {error}")
         return 2
-    print(format_fleet_report(result))
-    if out_path is not None:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(result.to_json() + "\n")
-        except OSError as error:
-            print(f"cannot write {out_path}: {error.strerror or error}")
-            return 1
-        print(f"\nwrote {out_path}")
-    if result.oracle is not None and result.oracle.simulator_bugs:
-        return 1
-    return 0
+    print(done["text"])
+    return _write_report(values["out"], done["report_json"]) or done["exit"]
 
 
-def _fleet_via_daemon(client, params: dict, out_path: "str | None",
-                      events_log: "str | None") -> int:
-    """Run a fleet job on the daemon and print the identical report.
+def _run_via_daemon(client, kind, params: dict, values) -> int:
+    """Follow one job on the daemon; same text, same report bytes, same
+    exit code as the in-process path, and 3 when it is cancelled.
 
-    Every streamed event line is optionally appended to ``events_log``
-    (raw canonical JSON lines — what CI's prefix assertions read); the
-    terminal event's ``report_json`` is the same canonical bytes the
-    in-process path would have written.
+    With ``--events-log`` every streamed event line is written there
+    raw (canonical JSON lines — what CI's prefix assertions read).
     """
-    import json
-
     from repro.errors import ServeError
-    from repro.fleet import format_fleet_report
+    from repro.serve.protocol import encode_event
 
-    log = None
+    log_path = values.get("events_log")
+    log = open(log_path, "w", encoding="utf-8") if log_path else None
     final: dict = {}
     try:
-        if events_log is not None:
-            log = open(events_log, "w", encoding="utf-8")
-        job_id = client.submit("fleet", params)
-        for event in client.events(job_id):
+        for event in client.events(client.submit(kind.name, params)):
             if log is not None:
-                log.write(json.dumps(event, sort_keys=True,
-                                     separators=(",", ":")) + "\n")
+                log.write(encode_event(event).decode("utf-8"))
             final = event
     except ServeError as error:
-        print(f"fleet error: {error}")
+        print(f"{kind.name} error: {error}")
         return 2
     finally:
         if log is not None:
             log.close()
-    if final.get("event") == "error":
-        print(f"fleet error: {final.get('message', 'job failed')}")
-        return 2
     if final.get("event") == "cancelled":
-        print("fleet error: job was cancelled on the daemon")
+        print(f"{kind.name} error: job was cancelled on the daemon")
         return 3
+    if final.get("event") != "done":
+        print(f"{kind.name} error: {final.get('message', 'job failed')}")
+        return 2
     report_json = final["report_json"]
-    print(format_fleet_report(json.loads(report_json)))
-    if out_path is not None:
+    print(final["text"] if "text" in final else kind.render(report_json))
+    return _write_report(values["out"], report_json) or final["exit"]
+
+
+def _write_report(out_path: "str | None", report_json: str) -> int:
+    """Write the canonical report for ``-o``; 1 when the write fails."""
+    if out_path is None:
+        return 0
+    try:
+        with open(out_path, "w", encoding="utf-8") as handle:
+            handle.write(report_json + "\n")
+    except OSError as error:
+        print(f"cannot write {out_path}: {error.strerror or error}")
+        return 1
+    print(f"\nwrote {out_path}")
+    return 0
+
+
+def fleet_command(args: list[str]) -> int:
+    """Run a fleet simulation and print (optionally write) its report."""
+    values = _parse_job_args("fleet", args, _FLEET_USAGE)
+    if isinstance(values, int):
+        return values
+    if values["workload"] is not None:
+        if values["phases"] is not None:
+            print("--workload and --phases are mutually exclusive "
+                  "(a phase plan carries its own op distributions)")
+            return 2
+        from repro.errors import WorkloadError
+
         try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(report_json + "\n")
-        except OSError as error:
-            print(f"cannot write {out_path}: {error.strerror or error}")
-            return 1
-        print(f"\nwrote {out_path}")
-    return int(final.get("exit", 0))
-
-
-def _resolve_fleet_workload(value: str):
-    """Resolve ``--workload NAME|FILE`` -> (params fragment, status).
-
-    A path-looking value (``.json`` suffix, a path separator, or an
-    existing file) loads a recorded-workload file and returns its
-    envelope inline (``workload_ir`` — what the daemon client ships);
-    anything else is validated as a registry name and passed by name.
-    On failure prints the error and returns status 2.
-    """
-    import json
-    import os
-
-    from repro.errors import WorkloadError
-
-    if (value.endswith(".json") or os.sep in value
-            or os.path.exists(value)):
-        from repro.workload.codec import load_workload
-
-        try:
-            load_workload(value)  # full validation, CLI-side errors
-            with open(value, encoding="utf-8") as handle:
-                return {"workload_ir": json.load(handle)}, 0
-        except (OSError, ValueError) as error:
-            print(f"fleet error: cannot read workload file "
-                  f"{value}: {error}")
-            return {}, 2
+            values.update(_workload_param(values["workload"]))
         except WorkloadError as error:
             print(f"fleet error: {error}")
-            return {}, 2
-    from repro.workload.library import workload_named
+            return 2
+    return _run_job("fleet", values)
 
-    try:
-        workload_named(value)  # validate the name CLI-side for the hint
-        return {"workload": value}, 0
-    except WorkloadError as error:
-        print(f"fleet error: {error}")
-        print("(named workloads come from 'repro workload list'; a path"
-              " ending in .json replays a recorded workload file)")
-        return {}, 2
+
+def oracle_command(args: list[str]) -> int:
+    """Run one cross-policy differential session and report verdicts."""
+    values = _parse_job_args("oracle", args, _ORACLE_USAGE, ("app",))
+    if isinstance(values, int):
+        return values
+    if values["app"] is None:
+        print(_ORACLE_USAGE)
+        return 2
+    return _run_job("oracle", values)
+
+
+def hunt_command(args: list[str]) -> int:
+    """Hunt the generated corpus; print (optionally write) the report."""
+    values = _parse_job_args("hunt", args, _HUNT_USAGE, ("subcommand",))
+    if isinstance(values, int):
+        return values
+    subcommand = values["subcommand"]
+    if subcommand is not None and subcommand not in _HUNT_SUBCOMMANDS:
+        return unknown_command(subcommand, _HUNT_SUBCOMMANDS)
+
+    from repro.engine.batch import POLICIES
+
+    for policy in values["policies"]:
+        if policy not in POLICIES:
+            return unknown_command(policy, sorted(POLICIES))
+
+    if subcommand == "rules":
+        from repro.hunt import rule_catalog
+
+        for row in rule_catalog():
+            print(f"{row['name']:<22s} severity {row['severity']}  "
+                  f"{row['description']}")
+        return 0
+    return _run_job("hunt", values)
+
+
+def _workload_param(value: str) -> dict:
+    """``--workload NAME|FILE`` as params.
+
+    A path-looking value (``.json`` suffix, a path separator, or an
+    existing file) loads a recorded-workload file and ships it inline
+    (``workload_ir`` — params travel by value); anything else is a
+    registry name, which ``build`` resolves with a did-you-mean hint.
+    """
+    import os
+
+    if not (value.endswith(".json") or os.sep in value
+            or os.path.exists(value)):
+        return {"workload": value}
+    from repro.workload.codec import load_workload, workload_to_dict
+
+    return {"workload": None,
+            "workload_ir": workload_to_dict(load_workload(value))}
 
 
 # ----------------------------------------------------------------------
@@ -456,7 +379,7 @@ def workload_command(args: list[str]) -> int:
         return _workload_show(rest)
     if sub == "record":
         return _workload_record(rest)
-    return _unknown_command(sub, ["list", "show", "record"])
+    return unknown_command(sub, ["list", "show", "record"])
 
 
 def _workload_list() -> int:
@@ -477,30 +400,12 @@ def _workload_list() -> int:
 
 
 def _workload_show(args: list[str]) -> int:
-    name: str | None = None
-    seed = 0x5EED
-    member = 0
-    out_path: str | None = None
-    walker = iter(args)
-    try:
-        for arg in walker:
-            if arg == "--seed":
-                seed = int(next(walker), 0)
-            elif arg == "--member":
-                member = int(next(walker))
-            elif arg in ("-o", "--output"):
-                out_path = next(walker)
-            elif name is None:
-                name = arg
-            else:
-                print(f"unexpected argument {arg!r}")
-                return 2
-    except StopIteration:
-        print("missing value for the last option")
-        return 2
-    except ValueError as error:
-        print(f"bad option value: {error}")
-        return 2
+    values = parse_options(args, (_SEED, _MEMBER, _OUTPUT),
+                           _WORKLOAD_USAGE, ("name",))
+    if isinstance(values, int):
+        return values
+    name, seed, member = values["name"], values["seed"], values["member"]
+    out_path = values["out"]
     if name is None:
         print(_WORKLOAD_USAGE)
         return 2
@@ -519,7 +424,7 @@ def _workload_show(args: list[str]) -> int:
         print(plan.describe())
         print(f"member {member}, seed {seed:#x}:")
     else:
-        return _unknown_command(
+        return unknown_command(
             name, sorted([*WORKLOADS, *PHASE_PLANS])
         )
     print(workload.describe())
@@ -540,44 +445,27 @@ def _workload_show(args: list[str]) -> int:
 
 def _workload_record(args: list[str]) -> int:
     """Record one traced session, compile its spans back to a workload."""
-    app_name = "fleet.notepad"
-    policy = "rchdroid"
-    seed = 0x5EED
-    member = 0
-    source = "config-churn"
-    out_path = "recorded_workload.json"
-    walker = iter(args)
-    try:
-        for arg in walker:
-            if arg == "--app":
-                app_name = next(walker)
-            elif arg == "--policy":
-                policy = next(walker)
-            elif arg == "--workload":
-                source = next(walker)
-            elif arg == "--seed":
-                seed = int(next(walker), 0)
-            elif arg == "--member":
-                member = int(next(walker))
-            elif arg in ("-o", "--output"):
-                out_path = next(walker)
-            else:
-                print(f"unexpected argument {arg!r}")
-                return 2
-    except StopIteration:
-        print("missing value for the last option")
-        return 2
-    except ValueError as error:
-        print(f"bad option value: {error}")
-        return 2
+    values = parse_options(args, (
+        Option(("--app",), "app", default="fleet.notepad"),
+        Option(("--policy",), "policy", default="rchdroid"),
+        Option(("--workload",), "source", default="config-churn"),
+        _SEED, _MEMBER,
+        Option(("-o", "--output"), "out", default="recorded_workload.json",
+               noun="path"),
+    ), _WORKLOAD_USAGE)
+    if isinstance(values, int):
+        return values
+    app_name, policy = values["app"], values["policy"]
+    seed, member, out_path = values["seed"], values["member"], values["out"]
 
     from repro.engine.batch import POLICIES
+    from repro.serve.protocol import resolve_app
 
-    app, known = _oracle_app(app_name)
+    app, known = resolve_app(app_name)
     if app is None:
-        return _unknown_command(app_name, known)
+        return unknown_command(app_name, known)
     if policy not in POLICIES:
-        return _unknown_command(policy, sorted(POLICIES))
+        return unknown_command(policy, sorted(POLICIES))
 
     from repro.errors import WorkloadError
     from repro.fleet.population import device_workload
@@ -590,7 +478,7 @@ def _workload_record(args: list[str]) -> int:
     from repro.workload.trace_compile import from_trace
 
     try:
-        population = workload_named(source)
+        population = workload_named(values["source"])
     except WorkloadError as error:
         print(f"workload error: {error}")
         return 2
@@ -618,319 +506,29 @@ def _workload_record(args: list[str]) -> int:
 
 
 # ----------------------------------------------------------------------
-# oracle subcommand
-# ----------------------------------------------------------------------
-def _oracle_app(name: str):
-    """Resolve an app by package or display name across both corpora."""
-    from repro.apps.appset27 import build_appset27
-    from repro.fleet import fleet_corpus
-
-    apps = [*fleet_corpus(), *build_appset27()]
-    by_key = {}
-    for app in apps:
-        by_key[app.package.lower()] = app
-        by_key[app.label.lower()] = app
-    found = by_key.get(name.lower())
-    return found, sorted(by_key)
-
-
-def oracle_command(args: list[str]) -> int:
-    """Run one cross-policy differential session and report verdicts."""
-    target: str | None = None
-    policies: list[str] = []
-    seed = 0x5EED
-    member = 0
-    out_path: str | None = None
-    daemon_url: str | None = None
-    walker = iter(args)
-    try:
-        for arg in walker:
-            if arg == "--policy":
-                policies.append(next(walker))
-            elif arg == "--seed":
-                seed = int(next(walker), 0)
-            elif arg == "--member":
-                member = int(next(walker))
-            elif arg == "--daemon":
-                daemon_url = next(walker)
-            elif arg in ("-o", "--output"):
-                out_path = next(walker)
-            elif target is None and not arg.startswith("-"):
-                target = arg
-            else:
-                print(f"unexpected argument {arg!r}")
-                print(
-                    "usage: python -m repro oracle <app> [--policy NAME]..."
-                    " [--seed N] [--member N] [--daemon URL] [-o PATH]"
-                )
-                return 2
-    except StopIteration:
-        print("missing value for the last option")
-        return 2
-    except ValueError as error:
-        print(f"bad option value: {error}")
-        return 2
-
-    from repro.errors import OracleError
-    from repro.oracle import (
-        format_oracle_report,
-        report_for,
-        run_oracle_session,
-    )
-    from repro.oracle.session import DEFAULT_POLICIES
-
-    if target is None:
-        print("usage: python -m repro oracle <app> [--policy NAME]..."
-              " [--seed N] [--member N] [--daemon URL] [-o PATH]")
-        return 2
-    app, known = _oracle_app(target)
-    if app is None:
-        return _unknown_command(target, known)
-
-    if daemon_url is not None:
-        from repro.serve.client import DaemonClient
-
-        client = DaemonClient(daemon_url)
-        if client.available():
-            return _oracle_via_daemon(client, {
-                "app": target,
-                **({"policies": policies} if policies else {}),
-                "seed": seed,
-                "member": member,
-            }, out_path)
-        print(f"note: daemon {daemon_url} unreachable; "
-              "running in-process", file=sys.stderr)
-
-    try:
-        session = run_oracle_session(
-            app,
-            tuple(policies) if policies else DEFAULT_POLICIES,
-            seed,
-            member=member,
-        )
-    except OracleError as error:
-        print(f"oracle error: {error}")
-        return 2
-    report = report_for([session])
-    print(format_oracle_report(report))
-    if out_path is not None:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-        except OSError as error:
-            print(f"cannot write {out_path}: {error.strerror or error}")
-            return 1
-        print(f"\nwrote {out_path}")
-    return 0 if report.clean else 1
-
-
-def _oracle_via_daemon(client, params: dict,
-                       out_path: "str | None") -> int:
-    """Run one differential session on the daemon; same text, same
-    report bytes, same exit code as the in-process path."""
-    from repro.errors import ServeError
-
-    try:
-        final = client.run("oracle", params)
-    except ServeError as error:
-        print(f"oracle error: {error}")
-        return 2
-    if final.get("event") != "done":
-        print(f"oracle error: {final.get('message', 'job failed')}")
-        return 2
-    print(final["text"])
-    if out_path is not None:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(final["report_json"] + "\n")
-        except OSError as error:
-            print(f"cannot write {out_path}: {error.strerror or error}")
-            return 1
-        print(f"\nwrote {out_path}")
-    return int(final.get("exit", 0))
-
-
-# ----------------------------------------------------------------------
-# hunt subcommand
-# ----------------------------------------------------------------------
-_HUNT_USAGE = (
-    "usage: python -m repro hunt [rules] [--apps N] [--seed N]"
-    " [--policy NAME]... [--jobs N|auto] [--no-cache]"
-    " [--daemon URL] [-o PATH]"
-)
-
-_HUNT_SUBCOMMANDS = ["rules"]
-
-
-def hunt_command(args: list[str]) -> int:
-    """Hunt the generated corpus; print (optionally write) the report."""
-    subcommand: str | None = None
-    apps = 100
-    seed: int | None = None
-    policies: list[str] = []
-    jobs: "int | str | None" = None
-    use_cache = True
-    daemon_url: str | None = None
-    out_path: str | None = None
-    walker = iter(args)
-    try:
-        for arg in walker:
-            if arg == "--apps":
-                apps = int(next(walker))
-            elif arg == "--seed":
-                seed = int(next(walker), 0)
-            elif arg == "--policy":
-                policies.append(next(walker))
-            elif arg == "--jobs":
-                jobs = _parse_jobs(next(walker))
-            elif arg == "--no-cache":
-                use_cache = False
-            elif arg == "--daemon":
-                daemon_url = next(walker)
-            elif arg in ("-o", "--output"):
-                out_path = next(walker)
-            elif subcommand is None and not arg.startswith("-"):
-                subcommand = arg
-            else:
-                print(f"unexpected argument {arg!r}")
-                print(_HUNT_USAGE)
-                return 2
-    except StopIteration:
-        print("missing value for the last option")
-        return 2
-    except ValueError as error:
-        print(f"bad option value: {error}")
-        return 2
-
-    if subcommand is not None and subcommand not in _HUNT_SUBCOMMANDS:
-        return _unknown_command(subcommand, _HUNT_SUBCOMMANDS)
-
-    from repro.engine.batch import POLICIES
-
-    for policy in policies:
-        if policy not in POLICIES:
-            return _unknown_command(policy, sorted(POLICIES))
-
-    if subcommand == "rules":
-        from repro.hunt import rule_catalog
-
-        for row in rule_catalog():
-            print(f"{row['name']:<22s} severity {row['severity']}  "
-                  f"{row['description']}")
-        return 0
-
-    from repro.errors import HuntError
-    from repro.hunt import format_hunt_report, run_hunt
-    from repro.hunt.generator import DEFAULT_CORPUS_SEED
-
-    # One params dict describes the hunt to both execution paths, the
-    # fleet/oracle convention: the daemon client ships it verbatim, the
-    # in-process fallback feeds the same values to HuntSettings.
-    params: dict = {
-        "apps": apps,
-        "seed": DEFAULT_CORPUS_SEED if seed is None else seed,
-    }
-    if policies:
-        params["policies"] = policies
-
-    if daemon_url is not None:
-        local_only = [flag for flag, given in [
-            ("--jobs", jobs is not None),
-            ("--no-cache", not use_cache),
-        ] if given]
-        if local_only:
-            print("these options run in-process and do not combine "
-                  f"with --daemon: {', '.join(local_only)}")
-            return 2
-        from repro.serve.client import DaemonClient
-
-        client = DaemonClient(daemon_url)
-        if client.available():
-            return _hunt_via_daemon(client, params, out_path)
-        print(f"note: daemon {daemon_url} unreachable; "
-              "running in-process", file=sys.stderr)
-
-    try:
-        import dataclasses
-
-        from repro.serve.protocol import hunt_settings_from_params
-
-        settings = dataclasses.replace(
-            hunt_settings_from_params(params), jobs=jobs, cache=use_cache
-        )
-        report = run_hunt(settings)
-    except HuntError as error:
-        print(f"hunt error: {error}")
-        return 2
-    print(format_hunt_report(report))
-    if out_path is not None:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(report.to_json() + "\n")
-        except OSError as error:
-            print(f"cannot write {out_path}: {error.strerror or error}")
-            return 1
-        print(f"\nwrote {out_path}")
-    return 0 if report.clean else 1
-
-
-def _hunt_via_daemon(client, params: dict, out_path: "str | None") -> int:
-    """Run the hunt on the daemon; same text, same report bytes, same
-    exit code as the in-process path."""
-    from repro.errors import ServeError
-
-    try:
-        final = client.run("hunt", params)
-    except ServeError as error:
-        print(f"hunt error: {error}")
-        return 2
-    if final.get("event") != "done":
-        print(f"hunt error: {final.get('message', 'job failed')}")
-        return 2
-    print(final["text"])
-    if out_path is not None:
-        try:
-            with open(out_path, "w", encoding="utf-8") as handle:
-                handle.write(final["report_json"] + "\n")
-        except OSError as error:
-            print(f"cannot write {out_path}: {error.strerror or error}")
-            return 1
-        print(f"\nwrote {out_path}")
-    return int(final.get("exit", 0))
-
-
-# ----------------------------------------------------------------------
 # trace subcommand
 # ----------------------------------------------------------------------
+_TRACE_USAGE = "usage: python -m repro trace <target> [-o PATH] [--no-verify]"
+
+
 def trace_command(args: list[str]) -> int:
     """Record a Chrome trace for ``demo`` or an experiment, then verify
     that re-running the same scenario replays the identical trace."""
     from repro.harness.experiments.__main__ import _MODULES
 
-    target: str | None = None
-    out_path: str | None = None
-    verify = True
-    walker = iter(args)
-    for arg in walker:
-        if arg in ("-o", "--output"):
-            out_path = next(walker, None)
-            if out_path is None:
-                print(f"{arg} needs a path argument")
-                return 2
-        elif arg == "--no-verify":
-            verify = False
-        elif target is None:
-            target = arg
-        else:
-            print(f"unexpected argument {arg!r}")
-            return 2
+    values = parse_options(args, (
+        _OUTPUT, Option(("--no-verify",), "verify", None, True, const=False),
+    ), _TRACE_USAGE, ("target",))
+    if isinstance(values, int):
+        return values
+    target, out_path = values["target"], values["out"]
     targets = ["demo", *_MODULES]
     if target is None:
-        print("usage: python -m repro trace <target> [-o PATH] [--no-verify]")
+        print(_TRACE_USAGE)
         print("traceable targets: " + ", ".join(targets))
         return 2
     if target not in targets:
-        return _unknown_command(target, targets)
+        return unknown_command(target, targets)
     if out_path is None:
         out_path = f"trace_{target.replace('.', '_')}.json"
 
@@ -957,7 +555,7 @@ def trace_command(args: list[str]) -> int:
         f" across {len(session.tracers)} run(s)"
     )
     print("categories: " + ", ".join(sorted(session.categories())))
-    if not verify:
+    if not values["verify"]:
         return 0
     replayed = record()
     if len(replayed.tracers) != len(session.tracers):

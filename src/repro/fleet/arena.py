@@ -437,6 +437,11 @@ class ResidentArena:
         ``False`` when this host has no usable shared memory (callers
         degrade to the disk store).  Re-publishing an existing key
         counts as a warm hit, not a write.
+
+        The budget pass after inserting never evicts ``key`` itself: a
+        template larger than the whole budget stays resident until the
+        next publish (or release) makes room for a newer one, so the
+        job that published it still reads it from shared memory.
         """
         if key in self._resident:
             self._touch(key)
@@ -472,7 +477,7 @@ class ResidentArena:
         self._resident[key] = _Resident(shm=shm, entry=entry, size=total)
         self._touch(key)
         self.publishes += 1
-        self.evict()
+        self.evict(keep=key)
         return True
 
     def acquire(self, keys: "Sequence[str]") -> ArenaHandle | None:
@@ -501,9 +506,11 @@ class ResidentArena:
         self.evict()
 
     # ------------------------------------------------------------------
-    def evict(self, *, all_idle: bool = False) -> int:
+    def evict(self, *, all_idle: bool = False,
+              keep: str | None = None) -> int:
         """Unlink unreferenced segments: LRU-first beyond the budget,
-        or every idle one when ``all_idle`` is set.  Returns the count.
+        or every idle one when ``all_idle`` is set.  ``keep`` is spared
+        either way.  Returns the count.
 
         A worker mid-restore on an evicted segment keeps its own
         mapping alive (POSIX unlink semantics); a *later* attach simply
@@ -512,7 +519,8 @@ class ResidentArena:
         """
         evicted = 0
         idle = sorted(
-            (key for key, res in self._resident.items() if res.refs == 0),
+            (key for key, res in self._resident.items()
+             if res.refs == 0 and key != keep),
             key=lambda key: self._resident[key].last_use,
         )
         for key in idle:

@@ -267,6 +267,25 @@ class OracleSession:
                 if finding.verdict == VERDICT_SIMULATOR_BUG]
 
 
+def check_policies(policies: Sequence[str]) -> tuple[str, ...]:
+    """The policy set of one differential session, validated up front:
+    at least one policy, no duplicates, every name known."""
+    policies = tuple(policies)
+    if not policies:
+        raise OracleError("a differential session needs >= 1 policy")
+    seen = set()
+    for policy in policies:
+        if policy in seen:
+            raise OracleError(f"duplicate policy {policy!r}")
+        seen.add(policy)
+    for policy in policies:
+        if policy not in POLICIES:
+            raise OracleError(
+                f"unknown policy {policy!r}; known: {sorted(POLICIES)}"
+            )
+    return policies
+
+
 def run_oracle_session(
     app: "AppSpec",
     policies: Sequence[str] = DEFAULT_POLICIES,
@@ -286,14 +305,7 @@ def run_oracle_session(
     lets a caller that already owns per-policy snapshots (the fleet's
     cohort templates) supply them instead of building fresh ones.
     """
-    policies = tuple(policies)
-    if not policies:
-        raise OracleError("a differential session needs >= 1 policy")
-    seen = set()
-    for policy in policies:
-        if policy in seen:
-            raise OracleError(f"duplicate policy {policy!r}")
-        seen.add(policy)
+    policies = check_policies(policies)
     if script is None:
         script = default_script(app, seed, member)
 

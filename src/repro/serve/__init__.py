@@ -3,7 +3,7 @@
 ``python -m repro serve`` starts a long-running asyncio daemon that
 owns a persistent worker pool, a process-wide snapshot store and
 result cache, and a resident shared-memory template arena, and serves
-concurrent fleet / oracle / experiment jobs over a small HTTP +
+concurrent fleet / oracle / hunt / experiment jobs over a small HTTP +
 JSON-lines protocol with streaming partial reports and cancellation.
 ``repro fleet --daemon URL`` is the thin client (falling back to
 in-process execution when the daemon is unreachable); reports are
@@ -18,7 +18,6 @@ from repro.serve.protocol import (
     PROTOCOL_VERSION,
     decode_event,
     encode_event,
-    fleet_params_fingerprint,
     fleet_spec_from_params,
     resolve_app,
 )
@@ -32,7 +31,6 @@ __all__ = [
     "daemon_available",
     "decode_event",
     "encode_event",
-    "fleet_params_fingerprint",
     "fleet_spec_from_params",
     "resolve_app",
 ]

@@ -1,7 +1,7 @@
 """Thin stdlib client for the simulation daemon.
 
-``repro fleet --daemon URL`` and ``repro oracle --daemon URL`` go
-through :class:`DaemonClient`; the CLI falls back to in-process
+``repro fleet|oracle|hunt --daemon URL`` go through
+:class:`DaemonClient`; the CLI falls back to in-process
 execution when the daemon is unreachable (``daemon_available``), which
 is safe precisely because both sides build their specs through
 ``serve/protocol.py`` — the daemon is a warm place to run the same

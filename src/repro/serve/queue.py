@@ -35,11 +35,11 @@ class Job:
     """One submitted job: its unit queue, event history, and state.
 
     The job owns *mechanism* only — which units are ready, what has
-    been emitted — while the server's per-kind drivers own *policy*
-    (what the units are, how outcomes fold).  ``events`` is the full
-    ordered history; a subscriber attached mid-run replays history
-    first and then receives live events, so late ``GET /events``
-    readers see the identical stream a from-the-start reader saw.
+    been emitted — while the server owns *policy* (what the units are,
+    how outcomes fold).  ``events`` is the full ordered history; a
+    subscriber attached mid-run replays history first and then receives
+    live events, so late ``GET /events`` readers see the identical
+    stream a from-the-start reader saw.
     """
 
     _ids = itertools.count(1)
@@ -58,7 +58,8 @@ class Job:
         lets the server finalize."""
         self.events: list[dict] = []
         self.subscribers: list[Callable[[dict], None]] = []
-        self.result: Any = None
+        self.fleet: Any = None
+        """The server's shard-coordinator state (fleet jobs only)."""
 
     # ------------------------------------------------------------------
     @property

@@ -41,27 +41,20 @@ import shutil
 import tempfile
 from typing import Any
 
+from repro.cli import Option, parse_jobs, parse_options
 from repro.engine.batch import _resolve_jobs
 from repro.engine.cache import ResultCache
 from repro.engine.pool import PersistentPool
 from repro.engine.snapshots import SnapshotStore
-from repro.errors import (
-    FleetError,
-    HuntError,
-    OracleError,
-    ServeError,
-    SimulationError,
-    WorkloadError,
-)
+from repro.errors import ServeError, SimulationError
 from repro.fleet.arena import DEFAULT_RESIDENT_BUDGET, ResidentArena
 from repro.serve import tasks
 from repro.serve.protocol import (
+    BAD_REQUEST,
+    KINDS,
     PROTOCOL_VERSION,
     check_job_params,
     encode_event,
-    fleet_spec_from_params,
-    hunt_settings_from_params,
-    resolve_app,
 )
 from repro.serve.queue import FairScheduler, Job
 
@@ -69,9 +62,6 @@ from repro.serve.queue import FairScheduler, Job
 #: the last one).  Streams stay light for huge fleets without going
 #: silent on small ones.
 DEFAULT_STREAM_EVERY = 4
-
-_BAD_REQUEST = (ServeError, FleetError, HuntError, OracleError,
-                WorkloadError)
 
 
 class _FleetState:
@@ -110,7 +100,8 @@ class _FleetState:
 
 
 class Daemon:
-    """All daemon state plus the per-kind job drivers."""
+    """All daemon state plus the two ways a job runs: the unit path
+    every table kind shares, and the fleet's shard coordinator."""
 
     def __init__(
         self,
@@ -149,17 +140,18 @@ class Daemon:
         """Validate, register, and stage a job; raises on bad requests."""
         params = check_job_params(kind, params)
         job = Job(kind, params, client)
-        prepare = {
-            "fleet": self._prepare_fleet,
-            "oracle": self._prepare_oracle,
-            "experiment": self._prepare_experiment,
-            "hunt": self._prepare_hunt,
-        }[kind]
-        # "accepted" is emitted before prepare so it is always event 0
-        # of the stream; a prepare failure raises before the job is
+        # "accepted" is emitted before the build so it is always event 0
+        # of the stream; a build failure raises before the job is
         # registered, so the orphaned event is never observable.
         job.emit("accepted", kind=kind, client=client)
-        prepare(job)
+        # Settings are built here, on submit, so a semantically bad
+        # request (unknown app or policy, apps < 1) is a 400 for every
+        # kind — not a failed unit.
+        settings = KINDS[kind].build(params)
+        if KINDS[kind].sharded:
+            self._prepare_fleet(job, settings)
+        else:
+            self._stage_units(job, settings)
         self.jobs[job.job_id] = job
         self.counters["jobs_submitted"] += 1
         job.state = "running"
@@ -169,8 +161,41 @@ class Daemon:
         self._maybe_finalize(job)
         return job
 
-    # --- fleet ---------------------------------------------------------
-    def _prepare_fleet(self, job: Job) -> None:
+    # --- unit kinds: units, then outputs by position, then finish ------
+    def _stage_units(self, job: Job, settings) -> None:
+        kind = KINDS[job.kind]
+        payloads = kind.units(settings)
+        job.settings = settings
+        job.outputs = [None] * len(payloads)
+        job.cache_keys = ([payload.cache_key() for payload in payloads]
+                          if kind.cached else None)
+        job.cache_hits = 0
+        for position, payload in enumerate(payloads):
+            if job.cache_keys is not None:
+                hit, value = self.cache.get(job.cache_keys[position])
+                if hit:
+                    job.outputs[position] = value
+                    job.cache_hits += 1
+                    continue
+            job.add_unit(kind.unit, payload,
+                         tag=f"{job.kind}:{position}")
+        job.no_more_units = True
+
+    def _unit_output(self, job: Job, tag: str, result: Any) -> None:
+        position = int(tag.rsplit(":", 1)[1])
+        job.outputs[position] = result
+        if job.cache_keys is not None:
+            self.cache.put(job.cache_keys[position], result)
+
+    def _finish_units(self, job: Job) -> None:
+        kind = KINDS[job.kind]
+        fields = kind.finish(job.settings, job.outputs)
+        if kind.cached:
+            fields["cache_hits"] = job.cache_hits
+        job.emit("done", **fields)
+
+    # --- fleet: the shard coordinator ----------------------------------
+    def _prepare_fleet(self, job: Job, spec) -> None:
         from repro.fleet.run import (
             oracle_cell_indices,
             oracle_members,
@@ -178,7 +203,6 @@ class Daemon:
             template_key,
         )
 
-        spec = fleet_spec_from_params(job.params)
         shards = plan_shards(spec)
         oracle_cells = {
             shard.shard_id: oracle_cell_indices(spec, shard)
@@ -284,105 +308,15 @@ class Daemon:
         result = state.partial_result()
         exit_code = 1 if (result.oracle is not None
                           and result.oracle.simulator_bugs) else 0
-        job.result = result.to_json()
         job.emit("done", covered_shards=len(state.completed),
-                 devices=state.devices, report_json=job.result,
+                 devices=state.devices, report_json=result.to_json(),
                  exit=exit_code)
 
     def _release_fleet(self, job: Job) -> None:
-        state = getattr(job, "fleet", None)
+        state = job.fleet
         if state is not None and state.acquired:
             self.resident.release(state.acquired)
             state.acquired = ()
-
-    # --- oracle --------------------------------------------------------
-    def _prepare_oracle(self, job: Job) -> None:
-        from repro.oracle.session import DEFAULT_POLICIES
-
-        params = job.params
-        app, known = resolve_app(params["app"])
-        if app is None:
-            raise ServeError(
-                f"unknown app {params['app']!r}; known: {known}"
-            )
-        policies = tuple(params.get("policies") or DEFAULT_POLICIES)
-        seed = params.get("seed", 0x5EED)
-        member = params.get("member", 0)
-        job.add_unit(tasks.run_oracle_unit,
-                     (app, policies, seed, member), tag="oracle")
-        job.no_more_units = True
-
-    def _oracle_result(self, job: Job, tag: str, result: Any) -> None:
-        report_json, clean, text = result
-        job.result = report_json
-        job.oracle_done = (report_json, clean, text)
-
-    def _finalize_oracle(self, job: Job) -> None:
-        report_json, clean, text = job.oracle_done
-        job.emit("done", report_json=report_json, text=text,
-                 exit=0 if clean else 1)
-
-    # --- hunt ----------------------------------------------------------
-    def _prepare_hunt(self, job: Job) -> None:
-        # Settings are built here, on submit, so a malformed request
-        # (unknown policy, apps < 1) is a 400 — not a failed unit.
-        settings = hunt_settings_from_params(job.params)
-        job.add_unit(tasks.run_hunt_unit, settings, tag="hunt")
-        job.no_more_units = True
-
-    def _hunt_result(self, job: Job, tag: str, result: Any) -> None:
-        report_json, clean, text = result
-        job.result = report_json
-        job.hunt_done = (report_json, clean, text)
-
-    def _finalize_hunt(self, job: Job) -> None:
-        report_json, clean, text = job.hunt_done
-        job.emit("done", report_json=report_json, text=text,
-                 exit=0 if clean else 1)
-
-    # --- experiment ----------------------------------------------------
-    def _prepare_experiment(self, job: Job) -> None:
-        from repro.engine.bench import _REQUEST_BUILDERS
-
-        name = job.params["experiment"]
-        if name not in _REQUEST_BUILDERS:
-            raise ServeError(
-                f"unknown experiment {name!r}; "
-                f"known: {sorted(_REQUEST_BUILDERS)}"
-            )
-        seed = job.params.get("seed", 0x5EED)
-        requests = _REQUEST_BUILDERS[name](seed)
-        job.exp_results: list = [None] * len(requests)
-        job.exp_keys = [request.cache_key() for request in requests]
-        job.exp_hits = 0
-        for position, request in enumerate(requests):
-            hit, value = self.cache.get(job.exp_keys[position])
-            if hit:
-                job.exp_results[position] = value
-                job.exp_hits += 1
-            else:
-                job.add_unit(tasks.run_experiment_unit, request,
-                             tag=f"run:{position}")
-        job.no_more_units = True
-
-    def _experiment_result(self, job: Job, tag: str, result: Any) -> None:
-        position = int(tag.split(":", 1)[1])
-        job.exp_results[position] = result
-        self.cache.put(job.exp_keys[position], result)
-
-    def _finalize_experiment(self, job: Job) -> None:
-        from repro.engine.codec import encode_result
-        from repro.engine.fingerprint import fingerprint
-
-        digest = fingerprint([
-            json.dumps(encode_result(result), sort_keys=True,
-                       separators=(",", ":"))
-            for result in job.exp_results
-        ])
-        job.result = digest
-        job.emit("done", experiment=job.params["experiment"],
-                 runs=len(job.exp_results), cache_hits=job.exp_hits,
-                 digest=digest, exit=0)
 
     # ------------------------------------------------------------------
     # the unit pump
@@ -422,12 +356,8 @@ class Daemon:
         elif error is not None:
             self._fail(job, f"unit {tag}: {error}")
         else:
-            handler = {
-                "fleet": self._fleet_result,
-                "oracle": self._oracle_result,
-                "experiment": self._experiment_result,
-                "hunt": self._hunt_result,
-            }[job.kind]
+            handler = (self._fleet_result if job.fleet is not None
+                       else self._unit_output)
             try:
                 handler(job, tag, result)
             except SimulationError as exc:
@@ -439,13 +369,10 @@ class Daemon:
     def _maybe_finalize(self, job: Job) -> None:
         if job.terminal or not job.drained:
             return
-        finalize = {
-            "fleet": self._finalize_fleet,
-            "oracle": self._finalize_oracle,
-            "experiment": self._finalize_experiment,
-            "hunt": self._finalize_hunt,
-        }[job.kind]
-        finalize(job)
+        if job.fleet is not None:
+            self._finalize_fleet(job)
+        else:
+            self._finish_units(job)
         job.finish("done")
         self.counters["jobs_done"] += 1
         self.scheduler.discard(job)
@@ -591,7 +518,7 @@ class _Server:
                     request.get("params") or {},
                     str(request.get("client") or "anon"),
                 )
-            except _BAD_REQUEST as exc:
+            except BAD_REQUEST as exc:
                 return self._json(writer, 400, {"error": str(exc)})
             except ValueError as exc:
                 return self._json(writer, 400,
@@ -655,51 +582,28 @@ _USAGE = (
 )
 
 
+_OPTIONS = (
+    Option(("--port",), "port", int, 0),
+    Option(("--host",), "host", str, "127.0.0.1"),
+    Option(("--jobs",), "jobs", parse_jobs, "auto"),
+    Option(("--root",), "root", noun="path"),
+    Option(("--ready-file",), "ready_file", noun="path"),
+    Option(("--stream-every",), "stream_every", int, DEFAULT_STREAM_EVERY),
+    Option(("--template-budget-mb",), "budget_mb", int,
+           DEFAULT_RESIDENT_BUDGET >> 20),
+    Option(("--stop",), "stop", noun="URL"),
+    Option(("-h", "--help"), "help", None, False),
+)
+
+
 def main(argv: "list[str] | None" = None) -> int:
-    argv = list(argv or [])
-    host = "127.0.0.1"
-    port = 0
-    jobs: "int | str" = "auto"
-    root: str | None = None
-    ready_file: str | None = None
-    stream_every = DEFAULT_STREAM_EVERY
-    budget = DEFAULT_RESIDENT_BUDGET
-    stop_url: str | None = None
-    walker = iter(argv)
-    try:
-        for arg in walker:
-            if arg == "--port":
-                port = int(next(walker))
-            elif arg == "--host":
-                host = next(walker)
-            elif arg == "--jobs":
-                from repro.__main__ import _parse_jobs
-
-                jobs = _parse_jobs(next(walker))
-            elif arg == "--root":
-                root = next(walker)
-            elif arg == "--ready-file":
-                ready_file = next(walker)
-            elif arg == "--stream-every":
-                stream_every = int(next(walker))
-            elif arg == "--template-budget-mb":
-                budget = int(next(walker)) * 1024 * 1024
-            elif arg == "--stop":
-                stop_url = next(walker)
-            elif arg in ("-h", "--help"):
-                print(_USAGE)
-                return 0
-            else:
-                print(f"unexpected argument {arg!r}")
-                print(_USAGE)
-                return 2
-    except StopIteration:
-        print("missing value for the last option")
-        return 2
-    except ValueError as error:
-        print(f"bad option value: {error}")
-        return 2
-
+    opts = parse_options(list(argv or []), _OPTIONS, _USAGE)
+    if isinstance(opts, int):
+        return opts
+    if opts["help"]:
+        print(_USAGE)
+        return 0
+    stop_url = opts["stop"]
     if stop_url is not None:
         from repro.serve.client import DaemonClient
 
@@ -711,8 +615,10 @@ def main(argv: "list[str] | None" = None) -> int:
         print(f"asked {stop_url} to shut down")
         return 0
 
-    return asyncio.run(_serve(host, port, jobs, root, ready_file,
-                              stream_every, budget))
+    return asyncio.run(_serve(opts["host"], opts["port"], opts["jobs"],
+                              opts["root"], opts["ready_file"],
+                              opts["stream_every"],
+                              opts["budget_mb"] << 20))
 
 
 async def _serve(host, port, jobs, root, ready_file, stream_every,

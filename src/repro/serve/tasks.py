@@ -1,33 +1,43 @@
-"""Picklable pool task bodies for the daemon's persistent workers.
+"""Unit bodies of the job kinds, picklable for the daemon's workers.
 
 Every unit the daemon schedules is one call to a module-level function
-here (the ``concurrent.futures`` pickling contract).  The bodies are
+here (the ``concurrent.futures`` pickling contract), and the CLI's
+in-process path calls the very same functions serially — the job-kind
+table in ``serve/protocol.py`` names each kind's body.  The bodies are
 thin: fleet shards go through the fleet executor's own spec-carrying
 entry point (:func:`repro.fleet.run._run_shard_task` — the same code a
 CLI run executes, so outcomes fold byte-identically), oracle sessions
-through ``repro.oracle``, and experiment units through the engine's
-``execute_request``.  Because the workers outlive any one job, the
-per-process template cache in ``fleet/run.py`` stays warm across
-requests — that cache's LRU cap exists for exactly this caller.
+through ``repro.oracle``, hunts through ``repro.hunt``, and experiment
+units through the engine's ``execute_request``.  Because the workers
+outlive any one job, the per-process template cache in ``fleet/run.py``
+stays warm across requests — that cache's LRU cap exists for exactly
+this caller.
+
+The report bodies return ``(report_json, clean, text)``: the canonical
+report string ``-o`` writes, whether it is free of simulator bugs, and
+the human text the CLI prints, rendered here so the thin client shows
+the identical output.
 """
 
 from __future__ import annotations
 
-from repro.fleet.run import _run_shard_task
-
 __all__ = [
     "run_shard_unit",
     "capture_template_unit",
+    "run_fleet_unit",
     "run_oracle_unit",
     "run_experiment_unit",
     "run_hunt_unit",
 ]
 
-#: Fleet shard unit: payload ``(spec, shard, root, key, oracle_keys,
-#: arena_handle)`` — the fleet executor's spec-carrying pool entry,
-#: re-exported under the daemon's name so journal/debug tooling shows
-#: where a unit came from.
-run_shard_unit = _run_shard_task
+
+def run_shard_unit(payload):
+    """One fleet shard through the fleet executor's own spec-carrying
+    pool entry; ``payload`` is ``(spec, shard, root, key, oracle_keys,
+    arena_handle)``."""
+    from repro.fleet.run import _run_shard_task
+
+    return _run_shard_task(payload)
 
 
 def capture_template_unit(payload):
@@ -45,15 +55,26 @@ def capture_template_unit(payload):
     return capture_template(spec, cell_index)
 
 
+def run_fleet_unit(spec, **local):
+    """A whole fleet run in this process, reported canonically.
+
+    The CLI's in-process body (the daemon shards fleets through its
+    coordinator instead).  ``local`` carries :func:`run_fleet`'s
+    execution options as the CLI parsed them; ``None`` means the
+    default.
+    """
+    from repro.fleet import format_fleet_report, run_fleet
+
+    result = run_fleet(spec, **{name: value for name, value in local.items()
+                                if value is not None})
+    clean = result.oracle is None or not result.oracle.simulator_bugs
+    return result.to_json(), clean, format_fleet_report(result)
+
+
 def run_oracle_unit(payload):
     """One cross-policy differential session, reported canonically.
 
-    ``payload`` is ``(app, policies, seed, member)``; returns
-    ``(report_json, clean, text)`` where ``report_json`` is the
-    canonical ``OracleReport.to_json()`` string — the byte identity the
-    CLI's ``repro oracle -o`` writes — and ``text`` the human table the
-    CLI prints, rendered here so the thin client shows the identical
-    output.
+    ``payload`` is ``(app, policies, seed, member)``.
     """
     from repro.oracle import (
         format_oracle_report,
@@ -67,23 +88,20 @@ def run_oracle_unit(payload):
     return report.to_json(), report.clean, format_oracle_report(report)
 
 
-def run_hunt_unit(payload):
+def run_hunt_unit(settings, jobs=1, cache=True):
     """One full hunt over the generated corpus, reported canonically.
 
-    ``payload`` is a :class:`~repro.hunt.search.HuntSettings`; returns
-    ``(report_json, clean, text)`` where ``report_json`` is the
-    canonical ``HuntReport.to_json()`` string — the byte identity the
-    CLI's ``repro hunt -o`` writes — and ``text`` the human summary the
-    CLI prints.  The hunt runs its probe batches in-process here
+    ``settings`` is a :class:`~repro.hunt.search.HuntSettings`.  In a
+    daemon worker the hunt runs its probe batches in-process
     (``jobs=1``): the daemon's scheduler owns the pool, and a worker
-    spawning its own grandchild pool would fight it for cores.
+    spawning its own grandchild pool would fight it for cores.  The CLI
+    passes its own ``jobs`` and ``cache``.
     """
     import dataclasses
 
     from repro.hunt import format_hunt_report, run_hunt
 
-    settings = dataclasses.replace(payload, jobs=1)
-    report = run_hunt(settings)
+    report = run_hunt(dataclasses.replace(settings, jobs=jobs, cache=cache))
     return report.to_json(), report.clean, format_hunt_report(report)
 
 

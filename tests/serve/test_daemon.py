@@ -11,6 +11,7 @@ checkpoint files, and the next request unaffected.
 
 from __future__ import annotations
 
+import asyncio
 import glob
 import json
 import os
@@ -107,24 +108,31 @@ class TestDeterminism:
         after = client.status()["resident"]["template_warm_hits"]
         assert after > before
 
+    @pytest.mark.parametrize("args, local", [
+        (["fleet", "--devices", str(DEVICES), "--seed", str(SEED)],
+         ["--jobs", "1"]),
+        (["oracle", "fleet.notepad", "--seed", str(SEED)], []),
+        (["hunt", "--apps", "4"], ["--jobs", "1"]),
+    ], ids=["fleet", "oracle", "hunt"])
     def test_cli_and_daemon_client_agree_byte_for_byte(
-            self, daemon, tmp_path, reference_report):
+            self, daemon, tmp_path, reference_report, args, local):
         plain_out = tmp_path / "plain.json"
         via_daemon_out = tmp_path / "daemon.json"
-        base = [sys.executable, "-m", "repro", "fleet",
-                "--devices", str(DEVICES), "--seed", str(SEED)]
+        base = [sys.executable, "-m", "repro", *args]
         plain = subprocess.run(
-            [*base, "--jobs", "1", "-o", str(plain_out)],
+            [*base, *local, "-o", str(plain_out)], cwd=tmp_path,
             env=_env(), capture_output=True, text=True, timeout=600,
         )
         via = subprocess.run(
             [*base, "--daemon", daemon, "-o", str(via_daemon_out)],
+            cwd=tmp_path,
             env=_env(), capture_output=True, text=True, timeout=600,
         )
         assert plain.returncode == 0, plain.stderr
-        assert via.returncode == 0, via.stderr
+        assert via.returncode == plain.returncode, via.stderr
         assert plain_out.read_bytes() == via_daemon_out.read_bytes()
-        assert plain_out.read_text().rstrip("\n") == reference_report
+        if args[0] == "fleet":
+            assert plain_out.read_text().rstrip("\n") == reference_report
         # The rendered report table is identical too: same bytes in,
         # same formatter over them.  Only the trailing "wrote <path>"
         # line may differ (the two runs write different files).
@@ -216,6 +224,31 @@ class TestFallback:
         assert out.read_text().rstrip("\n") == run_fleet(
             fleet_spec_from_params(PARAMS), jobs=1
         ).to_json()
+
+
+@pytest.mark.parametrize("kind, params", [
+    ("oracle", {"app": "fleet.notepad", "seed": "abc"}),
+    ("oracle", {"app": "fleet.notepad", "member": 1.5}),
+    ("oracle", {"app": "fleet.notepad", "policies": ["nope"]}),
+    ("experiment", {"experiment": "fig14", "seed": "x"}),
+])
+def test_bad_params_are_rejected_at_submit(tmp_path, kind, params):
+    """A request the CLI could not make never reaches a worker: it is
+    a 400 at submit, not a failed unit or a report the CLI cannot
+    produce."""
+    from repro.errors import OracleError, ServeError
+    from repro.serve.server import Daemon
+
+    async def submit():
+        daemon = Daemon(jobs=1, root=str(tmp_path))
+        try:
+            with pytest.raises((ServeError, OracleError)):
+                daemon.submit(kind, params, "tests")
+            assert daemon.jobs == {}
+        finally:
+            daemon.shutdown()
+
+    asyncio.run(submit())
 
 
 def test_cancellation_leaves_no_orphans(tmp_path, reference_report):

@@ -23,7 +23,6 @@ from repro.serve.protocol import (
     check_job_params,
     decode_event,
     encode_event,
-    fleet_params_fingerprint,
     fleet_spec_from_params,
     resolve_app,
 )
@@ -55,6 +54,18 @@ class TestCheckJobParams:
     def test_experiment_needs_name(self):
         with pytest.raises(ServeError, match="'experiment'"):
             check_job_params("experiment", {})
+
+    def test_every_kind_type_checks_its_params(self):
+        app = {"app": "fleet.notepad"}
+        for kind, bad in (("oracle", {**app, "seed": "abc"}),
+                          ("oracle", {**app, "member": 1.5}),
+                          ("oracle", {**app, "policies": "rchdroid"}),
+                          ("oracle", {"app": 7}),
+                          ("experiment", {"experiment": "fig14", "seed": "x"}),
+                          ("experiment", {"experiment": ["fig14"]}),
+                          ("hunt", {"apps": True})):
+            with pytest.raises(ServeError, match="must be"):
+                check_job_params(kind, bad)
 
 
 class TestFleetSpecFromParams:
@@ -121,20 +132,6 @@ class TestFleetSpecFromParams:
 
         spec = fleet_spec_from_params({"phases": "diurnal"})
         assert spec.phases == phase_plan_named("diurnal")
-
-
-class TestFingerprint:
-    def test_key_order_does_not_matter(self):
-        assert fleet_params_fingerprint({"devices": 12, "seed": 3}) == \
-            fleet_params_fingerprint({"seed": 3, "devices": 12})
-
-    def test_defaults_are_applied_before_hashing(self):
-        assert fleet_params_fingerprint({}) == \
-            fleet_params_fingerprint({"devices": 120, "faults": 0.0})
-
-    def test_different_fleets_differ(self):
-        assert fleet_params_fingerprint({"devices": 12}) != \
-            fleet_params_fingerprint({"devices": 13})
 
 
 class TestResolveApp:

@@ -135,6 +135,34 @@ def test_budget_eviction_is_lru_first():
         arena.destroy()
 
 
+def _segment_bytes(cell_index: int) -> int:
+    """The resident size of one template, measured, not estimated."""
+    arena = ResidentArena()
+    try:
+        arena.publish(_key(cell_index), _snap(cell_index))
+        return arena.resident_bytes
+    finally:
+        arena.destroy()
+
+
+def test_over_budget_template_stays_resident_until_the_next_publish():
+    size = _segment_bytes(0)
+    arena = ResidentArena(budget_bytes=size - 1)
+    try:
+        assert arena.publish(_key(0), _snap(0))
+        assert _key(0) in arena  # publish() returned True: resident
+        assert arena.stats()["template_evictions"] == 0
+        handle = arena.acquire([_key(0)])
+        assert arena_get(handle, _key(0)) is not None
+        arena.release([_key(0)])  # the next pass may now reclaim it
+        assert _key(0) not in arena
+        assert arena.publish(_key(1), _snap(1))
+        assert _key(1) in arena
+    finally:
+        arena.destroy()
+        _detach_all()
+
+
 def test_release_of_evicted_key_is_ignored():
     arena = ResidentArena()
     try:

@@ -507,6 +507,39 @@ class TestHuntCli:
         assert out_path.exists()
 
 
+class TestDaemonClientCli:
+    @pytest.mark.parametrize("args", [
+        ["oracle", "fleet.notepad"], ["hunt", "--apps", "4"],
+    ], ids=["oracle", "hunt"])
+    def test_cancelled_job_exits_3(self, capsys, monkeypatch, args):
+        from repro.serve import client
+
+        class CancellingDaemon:
+            """A reachable daemon that cancels every job it is sent."""
+
+            def __init__(self, url, **_):
+                pass
+
+            def available(self):
+                return True
+
+            def submit(self, kind, params=None):
+                return "job-1"
+
+            def events(self, job_id):
+                yield {"event": "accepted", "job": job_id, "seq": 0}
+                yield {"event": "cancelled", "exit": 3, "job": job_id,
+                       "seq": 1}
+
+            def run(self, kind, params=None, on_event=None):
+                return list(self.events(self.submit(kind, params)))[-1]
+
+        monkeypatch.setattr(client, "DaemonClient", CancellingDaemon)
+        argv = [*args, "--daemon", "http://127.0.0.1:1"]
+        assert repro_main(argv) == 3
+        assert "cancelled" in capsys.readouterr().out
+
+
 def test_readme_quickstart_snippet_executes():
     """The README's quickstart code block must actually run."""
     import re
