@@ -5,12 +5,14 @@ figure/table is a list of independent ``measure_handling`` /
 ``run_issue_scenario`` calls.  This package turns that list into a
 first-class object (:class:`RunRequest`), executes it serially or across
 a process pool with submission-order merging (:func:`run_batch`), and
-memoises results in a two-tier content-addressed cache
-(:class:`ResultCache`).  A third tier (:class:`SnapshotStore`) caches
-*prefix snapshots*: cache misses that share a fingerprint prefix run
-their common setup once and fork from a device checkpoint.  The
-determinism contract: for a given request, serial, parallel, cached and
-forked execution produce byte-identical results.
+memoises results in a content-addressed cache (:class:`ResultCache`).
+Cache misses that share a fingerprint prefix run their common setup
+once and fork from a device checkpoint kept in a :class:`SnapshotStore`.
+Both are one keyed store (``engine/store.py``: a memory tier over a
+versioned disk tier, corrupt = miss) with different codecs; the fleet
+keeps its cohort templates in the same store.  The determinism
+contract: for a given request, serial, parallel, cached and forked
+execution produce byte-identical results.
 See ``docs/PERFORMANCE.md``.
 """
 
@@ -30,7 +32,7 @@ from repro.engine.batch import (
     run_batch,
     run_policy_matrix,
 )
-from repro.engine.cache import DEFAULT_CACHE_ROOT, CacheStats, ResultCache
+from repro.engine.cache import DEFAULT_CACHE_ROOT, ResultCache
 from repro.engine.codec import decode_result, encode_result
 from repro.engine.fingerprint import (
     CACHE_SCHEMA_VERSION,
@@ -38,7 +40,8 @@ from repro.engine.fingerprint import (
     fingerprint,
 )
 from repro.engine.scenarios import SCENARIOS, ScenarioSpec
-from repro.engine.snapshots import SnapshotStats, SnapshotStore
+from repro.engine.snapshots import SnapshotStore
+from repro.engine.store import StoreStats
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -50,13 +53,12 @@ __all__ = [
     "KIND_SCALABILITY",
     "POLICIES",
     "SCENARIOS",
-    "CacheStats",
     "EngineConfig",
     "ResultCache",
     "RunRequest",
     "ScenarioSpec",
-    "SnapshotStats",
     "SnapshotStore",
+    "StoreStats",
     "canonicalize",
     "configure",
     "decode_result",

@@ -451,9 +451,9 @@ def _execute_unit(
     prefix_kwargs, _ = spec.split_kwargs(kwargs, first.seed)
 
     key = first.prefix_key()
-    snap = store.get(key)
+    hit, snap = store.get(key)
     live = None
-    if snap is None:
+    if not hit:
         live = AndroidSystem(
             policy=POLICIES[first.policy](), costs=costs, seed=first.seed
         )

@@ -894,8 +894,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             devices = int(argv.pop(0))
         elif arg == "--no-scaling":
             scaling = False
-        elif arg == "--phases":
-            phases = True
         elif arg == "--no-phases":
             phases = False
         elif arg == "--resume-check":

@@ -5,7 +5,9 @@ a second experiment in the same process that shares runs with a first
 (Fig. 7 and Fig. 8 share all 54 of theirs) never re-simulates or even
 re-reads disk.  Tier 2 is a JSON file per result under
 ``.repro-cache/v<schema>/<kk>/<key>.json``, so a *later* process skips
-completed simulations too.
+completed simulations too.  Both tiers are the shared
+:class:`~repro.engine.store.KeyedStore`; this module adds the JSON
+codec.
 
 Keys are the content fingerprints of :mod:`repro.engine.fingerprint`;
 the schema version is folded into both the key and the directory name,
@@ -19,101 +21,47 @@ never be able to fail a run it could instead repopulate.
 from __future__ import annotations
 
 import json
-import os
-from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any
 
 from repro.engine.codec import decode_result, encode_result
 from repro.engine.fingerprint import CACHE_SCHEMA_VERSION
-from repro.errors import EngineError
+from repro.engine.store import KeyedStore
 
 DEFAULT_CACHE_ROOT = ".repro-cache"
 
 
-@dataclass
-class CacheStats:
-    """Hit/miss accounting, split by tier."""
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
-
-
-@dataclass
-class ResultCache:
+class ResultCache(KeyedStore):
     """Memory + disk cache of scenario results, keyed by content hash."""
 
-    root: Path | None = Path(DEFAULT_CACHE_ROOT)
-    schema_version: int = CACHE_SCHEMA_VERSION
-    stats: CacheStats = field(default_factory=CacheStats)
-    _memory: dict[str, Any] = field(default_factory=dict)
+    suffix = ".json"
 
-    def __post_init__(self) -> None:
-        if self.root is not None:
-            self.root = Path(self.root)
+    def __init__(self, root: "Path | str | None" = Path(DEFAULT_CACHE_ROOT),
+                 schema_version: int = CACHE_SCHEMA_VERSION):
+        super().__init__(root, f"v{schema_version}")
+        self.schema_version = schema_version
 
-    # ------------------------------------------------------------------
+    # ``get``/``put`` are spelled out here rather than inherited so that
+    # per-layer host tracing can wrap the result cache on its own,
+    # without also counting snapshot-store lookups.
     def get(self, key: str) -> tuple[bool, Any]:
         """Look ``key`` up; returns ``(hit, result)``."""
-        if key in self._memory:
-            self.stats.memory_hits += 1
-            return True, self._memory[key]
-        result = self._read_disk(key)
-        if result is not None:
-            self.stats.disk_hits += 1
-            self._memory[key] = result
-            return True, result
-        self.stats.misses += 1
-        return False, None
+        return super().get(key)
 
     def put(self, key: str, result: Any) -> None:
         """Store a freshly computed result in both tiers."""
-        self._memory[key] = result
-        self.stats.stores += 1
-        if self.root is None:
-            return
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            payload = json.dumps(
-                {"key": key, "schema": self.schema_version,
-                 "result": encode_result(result)},
-                sort_keys=True,
-            )
-            # Atomic publish: a concurrent reader sees the old file or
-            # the complete new one, never a torn write.
-            tmp = path.with_suffix(f".tmp{os.getpid()}")
-            tmp.write_text(payload)
-            os.replace(tmp, path)
-        except OSError:
-            pass  # a read-only or full disk degrades to memory-only
-
-    def clear_memory(self) -> None:
-        """Drop tier 1 (used to measure the disk tier in isolation)."""
-        self._memory.clear()
-
-    def __len__(self) -> int:
-        return len(self._memory)
+        super().put(key, result)
 
     # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        assert self.root is not None
-        return self.root / f"v{self.schema_version}" / key[:2] / f"{key}.json"
+    def _encode(self, key: str, result: Any) -> str:
+        return json.dumps(
+            {"key": key, "schema": self.schema_version,
+             "result": encode_result(result)},
+            sort_keys=True,
+        )
 
-    def _read_disk(self, key: str) -> Any:
-        if self.root is None:
-            return None
-        path = self._path(key)
-        try:
-            payload = json.loads(path.read_text())
-            if payload.get("key") != key:
-                return None
-            return decode_result(payload["result"])
-        except (OSError, ValueError, KeyError, TypeError, EngineError):
-            return None
+    def _decode(self, key: str, data: bytes) -> Any:
+        payload = json.loads(data)
+        if payload.get("key") != key:
+            raise KeyError(key)
+        return decode_result(payload["result"])

@@ -7,6 +7,8 @@ fingerprint of a request group (see ``RunRequest.prefix_key``).  Memory
 tier for groups inside one process; optional disk tier under
 ``.repro-cache/snapshots/`` so a later process — or a sweep over *new*
 divergent values whose results are uncached — still skips the prefix.
+The fleet keeps its cohort templates in the same store
+(``fleet/run.py``).
 
 Disk entries embed the interpreter version in the directory name:
 snapshot payloads contain ``marshal``-serialised code objects, which are
@@ -18,88 +20,34 @@ from __future__ import annotations
 
 import os
 import sys
-from dataclasses import dataclass, field
-from pathlib import Path
 
+from repro.engine.store import KeyedStore
 from repro.errors import SnapshotError
 from repro.sim.snapshot import SNAPSHOT_FORMAT_VERSION, SystemSnapshot
 
-
-@dataclass
-class SnapshotStats:
-    """Hit/miss accounting, split by tier."""
-
-    memory_hits: int = 0
-    disk_hits: int = 0
-    misses: int = 0
-    stores: int = 0
-
-    @property
-    def hits(self) -> int:
-        return self.memory_hits + self.disk_hits
+_TAG = (f"v{SNAPSHOT_FORMAT_VERSION}"
+        f"-py{sys.version_info[0]}{sys.version_info[1]}")
 
 
-@dataclass
-class SnapshotStore:
+class SnapshotStore(KeyedStore):
     """Memory (+ optional disk) store of prefix snapshots.
 
     ``root=None`` keeps the store purely in-memory — the per-batch
-    ephemeral form used when result caching is off.
+    ephemeral form used when result caching is off.  ``capacity`` bounds
+    the memory tier (``0``: disk only).
     """
 
-    root: Path | None = None
-    stats: SnapshotStats = field(default_factory=SnapshotStats)
-    _memory: dict[str, SystemSnapshot] = field(default_factory=dict)
+    suffix = ".snap"
+    # A system the snapshot pickler refuses (e.g. one holding a session
+    # tracer) is still usable in memory.
+    write_errors = (OSError, SnapshotError)
 
-    def __post_init__(self) -> None:
-        if self.root is not None:
-            self.root = Path(self.root)
+    def __init__(self, root: "str | os.PathLike | None" = None, *,
+                 capacity: "int | None" = None):
+        super().__init__(root, _TAG, capacity=capacity)
 
-    # ------------------------------------------------------------------
-    def get(self, key: str) -> SystemSnapshot | None:
-        snap = self._memory.get(key)
-        if snap is not None:
-            self.stats.memory_hits += 1
-            return snap
-        snap = self._read_disk(key)
-        if snap is not None:
-            self.stats.disk_hits += 1
-            self._memory[key] = snap
-            return snap
-        self.stats.misses += 1
-        return None
+    def _encode(self, key: str, snap: SystemSnapshot) -> bytes:
+        return snap.to_bytes()
 
-    def put(self, key: str, snap: SystemSnapshot) -> None:
-        self._memory[key] = snap
-        self.stats.stores += 1
-        if self.root is None:
-            return
-        path = self._path(key)
-        try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            # Atomic publish, same discipline as the result cache.
-            tmp = path.with_suffix(f".tmp{os.getpid()}")
-            tmp.write_bytes(snap.to_bytes())
-            os.replace(tmp, path)
-        except (OSError, SnapshotError):
-            pass  # read-only disk / unsnapshotable degrade to memory-only
-
-    def clear_memory(self) -> None:
-        self._memory.clear()
-
-    def __len__(self) -> int:
-        return len(self._memory)
-
-    # ------------------------------------------------------------------
-    def _path(self, key: str) -> Path:
-        assert self.root is not None
-        tag = f"v{SNAPSHOT_FORMAT_VERSION}-py{sys.version_info[0]}{sys.version_info[1]}"
-        return self.root / tag / key[:2] / f"{key}.snap"
-
-    def _read_disk(self, key: str) -> SystemSnapshot | None:
-        if self.root is None:
-            return None
-        try:
-            return SystemSnapshot.from_bytes(self._path(key).read_bytes())
-        except (OSError, SnapshotError):
-            return None
+    def _decode(self, key: str, data: bytes) -> SystemSnapshot:
+        return SystemSnapshot.from_bytes(data)

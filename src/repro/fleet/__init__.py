@@ -16,7 +16,7 @@ from repro.fleet.aggregate import (
 )
 from repro.fleet.arena import (
     ArenaHandle,
-    TemplateArena,
+    ResidentArena,
     arena_available,
     arena_get,
     arena_stats,
@@ -65,8 +65,8 @@ __all__ = [
     "NO_FAULTS",
     "OracleAccumulator",
     "PopulationSpec",
+    "ResidentArena",
     "Shard",
-    "TemplateArena",
     "arena_available",
     "arena_get",
     "arena_stats",

@@ -1,44 +1,41 @@
 """Shared-memory template arena: one copy of cohort bytes per host.
 
-Before this tier every pool worker read each cohort template from disk
-once and kept its own heap copy of the bytes — per-host template cost
-scaled with ``workers x cohorts``.  The arena drives it to one copy per
-host: the coordinator packs every template into a single
+Without the arena every pool worker reads each cohort template from
+disk once and keeps its own heap copy of the bytes — per-host template
+cost scales with ``workers x cohorts``.  The arena drives it to one
+copy per host: the owner publishes each template into its own
 ``multiprocessing.shared_memory`` segment, workers attach once per
 process, and each template's payload is served as a **zero-copy
 memoryview** over the shared pages — the cached
 :class:`~repro.sim.snapshot.SystemSnapshot` in every worker points at
 the same physical memory.
 
-Layout: each template is stored split, so the payload can stay a view:
+There is one arena, :class:`ResidentArena`, with two owners: a pool
+fleet (``fleet/run.py``) creates one per run and destroys it when the
+run ends, and the daemon (``serve/server.py``) keeps one alive across
+requests.  Each segment holds a small *meta* blob — ``(format version,
+policy name, now_ms, externals)``, pickled with the snapshot pickler —
+followed by the raw payload bytes.
 
-* a small *meta* blob — ``(format version, policy name, now_ms,
-  externals)``, pickled with the snapshot pickler;
-* the raw *payload* blob — either the full payload bytes, or (for the
-  non-base policies of an app, whose payloads share most structure with
-  the base policy's) an rsync-style :func:`~repro.sim.snapshot.bdiff`
-  patch against the base entry's payload.  Delta entries are composed
-  at first use and cached as bytes; full entries stay views.
+Every entry carries the sha256 of its payload, checked once per worker
+per template.  The arena is strictly an optimisation under the
+fork-equals-fresh contract, so every failure mode — platform without
+shared memory, unlinked segment, corrupt bytes, digest mismatch — is a
+**miss, never an error**: the caller falls back to the disk store, and
+failing that rebuilds the template cold, byte-identically
+(``tests/fleet/test_arena.py`` pins all three paths).
 
-Every entry carries the sha256 of its *resolved* payload, checked once
-per worker per template.  The arena is strictly an optimisation under
-the fork-equals-fresh contract, so every failure mode — platform
-without shared memory, unlinked segment, corrupt bytes, digest
-mismatch — is a **miss, never an error**: the caller falls back to the
-per-worker disk cache, and failing that rebuilds the template cold,
-byte-identically (``tests/fleet/test_arena.py`` pins all three paths).
-
-Lifecycle: the coordinator owns the segment and unlinks it when the
-run ends (``destroy()``, called from a ``finally``).  Workers only ever
-attach, and attach **untracked** — attaching must not transfer
-ownership to ``multiprocessing``'s resource tracker, or the first
-worker to exit would reap a segment its siblings (and the coordinator)
-still use — and release their views through an ``atexit`` hook so a
-clean worker exit neither leaks ``/dev/shm`` entries nor trips
-exported-buffer errors.  A crashed worker leaks nothing either: its
-mappings die with the process, and the segment itself still belongs to
-the coordinator (whose own tracker registration reaps it even if the
-coordinator dies before ``destroy()``).
+Lifecycle: the owner creates and unlinks segments (``destroy()``,
+called from a ``finally``).  Workers only ever attach, and attach
+**untracked** — attaching must not transfer ownership to
+``multiprocessing``'s resource tracker, or the first worker to exit
+would reap a segment its siblings (and the owner) still use — and
+release their views through an ``atexit`` hook so a clean worker exit
+neither leaks ``/dev/shm`` entries nor trips exported-buffer errors.  A
+crashed worker leaks nothing either: its mappings die with the
+process, and the segment itself still belongs to the owner (whose own
+tracker registration reaps it even if the owner dies before
+``destroy()``).
 """
 
 from __future__ import annotations
@@ -51,15 +48,9 @@ from typing import Sequence
 from repro.sim.snapshot import (
     SNAPSHOT_FORMAT_VERSION,
     SystemSnapshot,
-    bdiff,
-    bpatch,
     dumps,
     loads,
 )
-
-#: Fraction of the full payload a sibling-policy delta must beat to be
-#: stored as a patch instead of full bytes.
-DELTA_WORTHWHILE = 0.8
 
 
 # ----------------------------------------------------------------------
@@ -89,121 +80,23 @@ def arena_available() -> bool:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class ArenaEntry:
-    """Where one template lives inside the segment."""
+    """One template's segment: ``[meta][payload]``."""
 
-    meta_offset: int
+    segment: str
     meta_length: int
-    payload_offset: int
     payload_length: int
     digest: str
-    """sha256 hex of the *resolved* (composed, for deltas) payload."""
-    base_key: str | None = None
-    """Set when the payload blob is a bdiff patch against this entry."""
-    segment: str = ""
-    """Segment holding this entry; empty = the handle's own segment.
-
-    Batch arenas pack every template into one segment, so their entries
-    leave this blank.  The daemon's :class:`ResidentArena` gives each
-    template its own refcounted segment and composes per-job handles
-    out of them, so its entries carry the segment name explicitly."""
+    """sha256 hex of the payload."""
 
 
 @dataclass(frozen=True)
 class ArenaHandle:
-    """Picklable address of a published arena: segment name + index."""
+    """Picklable address of a job's templates: key -> entry."""
 
-    name: str
-    entries: tuple[tuple[str, ArenaEntry], ...]
+    entries: dict[str, ArenaEntry]
 
     def entry(self, key: str) -> ArenaEntry | None:
-        for entry_key, entry in self.entries:
-            if entry_key == key:
-                return entry
-        return None
-
-
-class TemplateArena:
-    """Coordinator-owned shared segment holding cohort templates."""
-
-    def __init__(self, shm, handle: ArenaHandle):
-        self._shm = shm
-        self.handle = handle
-
-    # ------------------------------------------------------------------
-    @classmethod
-    def publish(
-        cls,
-        snapshots: "dict[str, SystemSnapshot]",
-        delta_bases: "dict[str, str] | None" = None,
-    ) -> "TemplateArena | None":
-        """Pack ``snapshots`` into one fresh segment; ``None`` = no shm.
-
-        ``delta_bases`` maps a key to the key whose payload it should be
-        stored as a delta against (base entries must be full).  A delta
-        that does not actually shrink the entry is stored full — the
-        mapping is advisory.
-        """
-        if not arena_available():
-            return None
-        delta_bases = delta_bases or {}
-        blobs: list[tuple[str, bytes, bytes, str, str | None]] = []
-        for key, snap in snapshots.items():
-            meta = dumps((
-                SNAPSHOT_FORMAT_VERSION,
-                snap.policy_name,
-                snap.now_ms,
-                snap.externals,
-            ))
-            payload = bytes(snap.payload)
-            digest = hashlib.sha256(payload).hexdigest()
-            base_key = delta_bases.get(key)
-            if base_key is not None and base_key in snapshots:
-                patch = bdiff(bytes(snapshots[base_key].payload), payload)
-                if len(patch) < DELTA_WORTHWHILE * len(payload):
-                    blobs.append((key, meta, patch, digest, base_key))
-                    continue
-            blobs.append((key, meta, payload, digest, None))
-
-        total = sum(len(meta) + len(body) for _, meta, body, _, _ in blobs)
-        try:
-            from multiprocessing import shared_memory
-
-            shm = shared_memory.SharedMemory(create=True,
-                                             size=max(1, total))
-        except Exception:
-            return None
-        entries: list[tuple[str, ArenaEntry]] = []
-        cursor = 0
-        for key, meta, body, digest, base_key in blobs:
-            shm.buf[cursor:cursor + len(meta)] = meta
-            meta_offset = cursor
-            cursor += len(meta)
-            shm.buf[cursor:cursor + len(body)] = body
-            entries.append((key, ArenaEntry(
-                meta_offset=meta_offset,
-                meta_length=len(meta),
-                payload_offset=cursor,
-                payload_length=len(body),
-                digest=digest,
-                base_key=base_key,
-            )))
-            cursor += len(body)
-        return cls(shm, ArenaHandle(shm.name, tuple(entries)))
-
-    # ------------------------------------------------------------------
-    def destroy(self) -> None:
-        """Unmap and unlink the segment (idempotent)."""
-        if self._shm is None:
-            return
-        try:
-            self._shm.close()
-        except Exception:
-            pass
-        try:
-            self._shm.unlink()
-        except Exception:
-            pass
-        self._shm = None
+        return self.entries.get(key)
 
 
 # ----------------------------------------------------------------------
@@ -231,12 +124,8 @@ def _reset_arena_stats() -> None:
 
 
 def _detach_all() -> None:
-    """Release every view and mapping now (tests / arena teardown)."""
-    _release_at_exit()
-
-
-def _release_at_exit() -> None:
-    # Views into the segment must be released before the mappings are
+    """Release every view and mapping (at exit; tests call it too)."""
+    # Views into a segment must be released before the mappings are
     # torn down, or SharedMemory.__del__ trips "exported pointers exist"
     # during interpreter shutdown.
     for view in _VIEWS:
@@ -288,7 +177,7 @@ def _attach(name: str):
         shm = None
     _ATTACHED[name] = shm
     if not _ATEXIT_REGISTERED:
-        atexit.register(_release_at_exit)
+        atexit.register(_detach_all)
         _ATEXIT_REGISTERED = True
     return shm
 
@@ -296,47 +185,29 @@ def _attach(name: str):
 def arena_get(handle: "ArenaHandle | None", key: str) -> SystemSnapshot | None:
     """One template out of the arena; ``None`` is always just a miss.
 
-    Full entries come back with a zero-copy memoryview payload over the
-    shared pages; delta entries are composed against their base entry
-    (one bytes materialisation, still no disk).  Any irregularity —
-    segment gone, key unknown, digest mismatch, unreadable meta —
-    counts as a miss (``arena_corrupt`` when the bytes were there but
-    wrong) and the caller falls back to disk or a cold rebuild.
+    The snapshot comes back with a zero-copy memoryview payload over
+    the shared pages.  Any irregularity — segment gone, key unknown,
+    digest mismatch, unreadable meta — counts as a miss
+    (``arena_corrupt`` when the bytes were there but wrong) and the
+    caller falls back to disk or a cold rebuild.
     """
     if handle is None:
         return None
     entry = handle.entry(key)
-    shm = (_attach(entry.segment or handle.name)
-           if entry is not None else None)
-    if entry is None or shm is None:
+    shm = _attach(entry.segment) if entry is not None else None
+    if shm is None:
         _STATS["arena_misses"] += 1
         return None
     try:
-        payload: "memoryview | bytes"
-        if entry.base_key is None:
-            view = memoryview(shm.buf)[
-                entry.payload_offset:entry.payload_offset
-                + entry.payload_length
-            ]
-            _VIEWS.append(view)
-            payload = view
-        else:
-            base = arena_get(handle, entry.base_key)
-            if base is None:
-                _STATS["arena_misses"] += 1
-                return None
-            patch = bytes(shm.buf[
-                entry.payload_offset:entry.payload_offset
-                + entry.payload_length
-            ])
-            payload = bpatch(bytes(base.payload), patch)
-        if hashlib.sha256(bytes(payload)).hexdigest() != entry.digest:
+        payload = memoryview(shm.buf)[
+            entry.meta_length:entry.meta_length + entry.payload_length
+        ]
+        _VIEWS.append(payload)
+        if hashlib.sha256(payload).hexdigest() != entry.digest:
             _STATS["arena_corrupt"] += 1
             return None
-        meta = loads(bytes(shm.buf[
-            entry.meta_offset:entry.meta_offset + entry.meta_length
-        ]))
-        version, policy_name, now_ms, externals = meta
+        version, policy_name, now_ms, externals = loads(
+            bytes(shm.buf[:entry.meta_length]))
         if version != SNAPSHOT_FORMAT_VERSION:
             _STATS["arena_corrupt"] += 1
             return None
@@ -349,7 +220,7 @@ def arena_get(handle: "ArenaHandle | None", key: str) -> SystemSnapshot | None:
 
 
 # ----------------------------------------------------------------------
-# resident arena: daemon-owned, refcounted, evictable
+# the arena: owner-side, refcounted, evictable
 # ----------------------------------------------------------------------
 #: Default budget for resident template bytes (segments with zero
 #: references beyond this get evicted, least-recently-used first).
@@ -362,30 +233,25 @@ class _Resident:
 
     shm: object
     entry: ArenaEntry
-    size: int
     refs: int = 0
     last_use: int = 0
 
 
 class ResidentArena:
-    """Long-lived template arena for the simulation daemon.
+    """Owner side of the template arena, for batch runs and the daemon.
 
-    Where :class:`TemplateArena` packs one batch's templates into a
-    single segment and unlinks it when the coordinator's run ends, the
-    resident arena keeps **one segment per template**, refcounted by
-    the jobs that hold a handle over it, and evicts explicitly: a
-    segment is unlinked only when nothing references it and the
-    resident byte budget demands room (LRU first), or at daemon
-    shutdown (:meth:`destroy`).  Templates stay warm across requests —
-    the whole point of fleet-as-a-service.
+    The arena keeps **one segment per template**, refcounted by the
+    jobs that hold a handle over it, and evicts explicitly: a segment
+    is unlinked only when nothing references it and the resident byte
+    budget demands room (LRU first), or when the owner is done with
+    the whole arena (:meth:`destroy`).  A pool fleet publishes and
+    acquires its templates up front and destroys the arena when the run
+    ends; the daemon keeps templates warm across requests — the whole
+    point of fleet-as-a-service.
 
-    Only full payloads are stored (no sibling deltas): eviction must
-    never be able to strand a delta entry whose base is gone.
-
-    Not thread-safe by design — the daemon drives it from one event
-    loop.  Failure modes mirror the batch arena: no shared memory on
-    the host means :meth:`publish` returns ``False`` and jobs fall back
-    to the disk store, byte-identically.
+    Not thread-safe by design — each owner drives it from one thread.
+    No shared memory on the host means :meth:`publish` returns
+    ``False`` and jobs fall back to the disk store, byte-identically.
     """
 
     def __init__(self, budget_bytes: int = DEFAULT_RESIDENT_BUDGET):
@@ -405,7 +271,7 @@ class ResidentArena:
 
     @property
     def resident_bytes(self) -> int:
-        return sum(res.size for res in self._resident.values())
+        return sum(res.shm.size for res in self._resident.values())
 
     def stats(self) -> dict[str, int]:
         return {
@@ -443,12 +309,8 @@ class ResidentArena:
         next publish (or release) makes room for a newer one, so the
         job that published it still reads it from shared memory.
         """
-        if key in self._resident:
-            self._touch(key)
-            self.warm_hits += 1
+        if self.warm(key):
             return True
-        if not arena_available():
-            return False
         meta = dumps((
             SNAPSHOT_FORMAT_VERSION,
             snap.policy_name,
@@ -466,15 +328,8 @@ class ResidentArena:
             return False
         shm.buf[:len(meta)] = meta
         shm.buf[len(meta):total] = payload
-        entry = ArenaEntry(
-            meta_offset=0,
-            meta_length=len(meta),
-            payload_offset=len(meta),
-            payload_length=len(payload),
-            digest=digest,
-            segment=shm.name,
-        )
-        self._resident[key] = _Resident(shm=shm, entry=entry, size=total)
+        entry = ArenaEntry(shm.name, len(meta), len(payload), digest)
+        self._resident[key] = _Resident(shm=shm, entry=entry)
         self._touch(key)
         self.publishes += 1
         self.evict(keep=key)
@@ -487,15 +342,13 @@ class ResidentArena:
         handle for its whole run, so none of its templates can be
         evicted underneath it.  Returns ``None`` for an empty key set.
         """
-        entries = []
+        entries = {}
         for key in keys:
             resident = self._resident[key]
             resident.refs += 1
             self._touch(key)
-            entries.append((key, resident.entry))
-        if not entries:
-            return None
-        return ArenaHandle(name="", entries=tuple(entries))
+            entries[key] = resident.entry
+        return ArenaHandle(entries) if entries else None
 
     def release(self, keys: "Sequence[str]") -> None:
         """Drop one reference per key (evicted keys are ignored)."""
@@ -532,7 +385,8 @@ class ResidentArena:
         return evicted
 
     def destroy(self) -> None:
-        """Unlink every segment, referenced or not (daemon shutdown)."""
+        """Unlink every segment, referenced or not (end of run, daemon
+        shutdown); idempotent."""
         for key in list(self._resident):
             self._unlink(key)
 

@@ -15,9 +15,10 @@ are integer-exact under any merge grouping (pinned by
 after lands on the same bits as folding 0..n in one process.
 
 File discipline mirrors the result cache: checkpoints are written
-atomically (temp file + ``os.replace``) so a kill mid-write leaves the
-previous checkpoint intact, and an *unreadable* checkpoint is treated
-as absent — the run restarts from shard 0, slower but correct.  A
+through the same :func:`~repro.engine.store.atomic_write` (plus an
+``fsync``) so a kill mid-write leaves the previous checkpoint intact,
+and an *unreadable* checkpoint is treated as absent — the run restarts
+from shard 0, slower but correct.  A
 checkpoint that is readable but belongs to a **different fleet spec**
 is an error, not a miss: silently folding another spec's accumulators
 would corrupt results, so :func:`load_checkpoint` refuses with
@@ -27,9 +28,9 @@ would corrupt results, so :func:`load_checkpoint` refuses with
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass
 
+from repro.engine.store import atomic_write
 from repro.errors import FleetError
 from repro.fleet.aggregate import CohortAccumulator, OracleAccumulator
 
@@ -81,15 +82,11 @@ class FleetCheckpoint:
 
 
 def save_checkpoint(path: str, checkpoint: FleetCheckpoint) -> None:
-    """Atomic publish: a kill mid-write never clobbers the last one."""
+    """Atomic, durable publish: a kill mid-write never clobbers the
+    last one."""
     payload = json.dumps(checkpoint.encode(), sort_keys=True,
                          separators=(",", ":"))
-    tmp = f"{path}.tmp{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        handle.write(payload)
-        handle.flush()
-        os.fsync(handle.fileno())
-    os.replace(tmp, path)
+    atomic_write(path, payload, fsync=True)
 
 
 def load_checkpoint(
@@ -105,10 +102,8 @@ def load_checkpoint(
         with open(path, "r", encoding="utf-8") as handle:
             data = json.load(handle)
         checkpoint = FleetCheckpoint.decode(data)
-    except FileNotFoundError:
-        return None
     except (OSError, ValueError, KeyError, TypeError):
-        return None  # corrupt = miss: rerun everything, byte-identically
+        return None  # missing or corrupt = miss: rerun, byte-identically
     if (checkpoint.spec_fingerprint != spec_fingerprint
             or checkpoint.total_shards != total_shards):
         raise FleetError(

@@ -34,12 +34,15 @@ checkpoint and produces the byte-identical report.
 Memory stays bounded by recycling: a shard worker materialises one
 device at a time, folds it into the shard accumulator, and drops it —
 peak RSS scales with one device plus one accumulator, independent of
-the fleet size.  Template bytes are zero-copy: the coordinator
-publishes every cohort template into a shared-memory arena
-(``fleet/arena.py``) read by all workers through memoryviews — one
-copy per host — with the per-worker disk cache as fallback and a cold
-rebuild as the byte-identical last resort
-(:func:`template_cache_stats` counts every path).
+the fleet size.  Templates live in two tiers.  The coordinator
+publishes every cohort template into a run-scoped shared-memory arena
+(``fleet/arena.py``, the same :class:`~repro.fleet.arena.ResidentArena`
+the daemon keeps warm) read by all workers through memoryviews — one
+copy per host.  Behind it sits the keyed snapshot store
+(``engine/snapshots.py``): the disk tier the coordinator writes, and in
+each worker a 64-entry memory tier; a cold rebuild is the
+byte-identical last resort (:func:`template_cache_stats` counts every
+path).
 """
 
 from __future__ import annotations
@@ -50,6 +53,7 @@ import shutil
 import tempfile
 from collections import deque
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Callable, Sequence
 
 from repro.engine.batch import POLICIES, _resolve_jobs
@@ -59,7 +63,7 @@ from repro.errors import FleetError, SnapshotError
 from repro.fleet.aggregate import CohortAccumulator, OracleAccumulator
 from repro.fleet.arena import (
     ArenaHandle,
-    TemplateArena,
+    ResidentArena,
     arena_get,
     arena_stats,
     _reset_arena_stats,
@@ -234,18 +238,16 @@ def capture_template(spec: FleetSpec, cell_index: int) -> SystemSnapshot:
 
 
 # ----------------------------------------------------------------------
-# per-worker template cache (one arena attach / disk read per worker
+# per-worker template store (one arena attach / disk read per worker
 # process, not per fork — see tests/fleet/test_fleet_run.py)
 # ----------------------------------------------------------------------
 #: Most templates kept hot per process.  Batch runs never get near it;
 #: the bound exists for daemon-lifetime workers (repro.serve), whose
 #: processes outlive any one spec and would otherwise accrete every
-#: template they ever touched.  Eviction is LRU (dict order, re-inserted
-#: on hit); an evicted template is simply re-read from arena or disk.
+#: template they ever touched.  An evicted template is simply re-read
+#: from arena or disk.
 _TEMPLATE_CACHE_CAP = 64
-_TEMPLATE_CACHE: dict[tuple[str, str], SystemSnapshot] = {}
-_TEMPLATE_DISK_READS = 0
-_TEMPLATE_REBUILDS = 0
+_TEMPLATES = SnapshotStore(capacity=_TEMPLATE_CACHE_CAP)
 _TEMPLATE_CAPTURES = 0
 _ARENA_FALLBACKS = 0
 
@@ -253,16 +255,17 @@ _ARENA_FALLBACKS = 0
 def template_cache_stats() -> dict[str, int]:
     """This process's template-provisioning counters.
 
-    ``templates_cached``/``disk_reads``/``rebuilds`` are the PR 5 cache
-    counters; ``captures`` counts template builds (coordinator-side and
-    cold rebuilds alike); ``arena_fallbacks`` counts loads that had an
-    arena handle but fell through to disk/rebuild; the ``arena_*`` keys
-    come from :func:`repro.fleet.arena.arena_stats`.
+    ``templates_cached``/``disk_reads``/``rebuilds`` are the template
+    store's memory size, disk hits and misses; ``captures`` counts
+    template builds (coordinator-side and cold rebuilds alike);
+    ``arena_fallbacks`` counts loads that had an arena handle but fell
+    through to disk/rebuild; the ``arena_*`` keys come from
+    :func:`repro.fleet.arena.arena_stats`.
     """
     return {
-        "templates_cached": len(_TEMPLATE_CACHE),
-        "disk_reads": _TEMPLATE_DISK_READS,
-        "rebuilds": _TEMPLATE_REBUILDS,
+        "templates_cached": len(_TEMPLATES),
+        "disk_reads": _TEMPLATES.stats.disk_hits,
+        "rebuilds": _TEMPLATES.stats.misses,
         "captures": _TEMPLATE_CAPTURES,
         "arena_fallbacks": _ARENA_FALLBACKS,
         **arena_stats(),
@@ -270,11 +273,8 @@ def template_cache_stats() -> dict[str, int]:
 
 
 def _reset_template_cache() -> None:
-    global _TEMPLATE_DISK_READS, _TEMPLATE_REBUILDS
-    global _TEMPLATE_CAPTURES, _ARENA_FALLBACKS
-    _TEMPLATE_CACHE.clear()
-    _TEMPLATE_DISK_READS = 0
-    _TEMPLATE_REBUILDS = 0
+    global _TEMPLATES, _TEMPLATE_CAPTURES, _ARENA_FALLBACKS
+    _TEMPLATES = SnapshotStore(capacity=_TEMPLATE_CACHE_CAP)
     _TEMPLATE_CAPTURES = 0
     _ARENA_FALLBACKS = 0
     _reset_arena_stats()
@@ -289,7 +289,7 @@ def _load_worker_template(
     *,
     persist: bool = False,
 ) -> SystemSnapshot:
-    """The cell's template: cache, arena, disk, or a cold rebuild.
+    """The cell's template: memory, arena, disk, or a cold rebuild.
 
     Every tier degrades to the next as a **miss, not an error**: a
     vanished shared-memory segment, a template truncated on disk by a
@@ -302,30 +302,23 @@ def _load_worker_template(
     run (or a daemon's next request) finds the template warm.  Workers
     never persist; the coordinator owns the store's contents.
     """
-    global _TEMPLATE_DISK_READS, _TEMPLATE_REBUILDS, _ARENA_FALLBACKS
-    cache_key = (str(root), key)
-    snap = _TEMPLATE_CACHE.get(cache_key)
-    if snap is not None:
-        # Re-insert on hit so dict order stays LRU for the cap below.
-        _TEMPLATE_CACHE[cache_key] = _TEMPLATE_CACHE.pop(cache_key)
-        return snap
-    if arena is not None:
+    global _ARENA_FALLBACKS
+    # Template keys are content hashes, so the memory tier stays valid
+    # whichever root the caller's disk tier lives under.
+    _TEMPLATES.root = Path(root)
+    if arena is not None and key not in _TEMPLATES:
         snap = arena_get(arena, key)
-        if snap is None:
-            _ARENA_FALLBACKS += 1
-    if snap is None:
-        store = SnapshotStore(root=root)
-        snap = store._read_disk(key)
-        if snap is None:
-            snap = capture_template(spec, cell_index)
-            _TEMPLATE_REBUILDS += 1
-            if persist:
-                store.put(key, snap)
+        if snap is not None:
+            _TEMPLATES.remember(key, snap)
+            return snap
+        _ARENA_FALLBACKS += 1
+    hit, snap = _TEMPLATES.get(key)
+    if not hit:
+        snap = capture_template(spec, cell_index)
+        if persist:
+            _TEMPLATES.put(key, snap)
         else:
-            _TEMPLATE_DISK_READS += 1
-    _TEMPLATE_CACHE[cache_key] = snap
-    while len(_TEMPLATE_CACHE) > _TEMPLATE_CACHE_CAP:
-        _TEMPLATE_CACHE.pop(next(iter(_TEMPLATE_CACHE)))
+            _TEMPLATES.remember(key, snap)
     return snap
 
 
@@ -358,6 +351,36 @@ def oracle_cell_indices(spec: FleetSpec, shard: Shard) -> dict[str, int]:
     app_index = shard.cell_index // len(spec.policies)
     return {policy: app_index * len(spec.policies) + offset
             for offset, policy in enumerate(spec.policies)}
+
+
+def template_plan(
+    spec: FleetSpec, shards: Sequence[Shard]
+) -> tuple[dict[int, dict[str, int]], list[int]]:
+    """``(oracle_cells, cells)`` for running ``shards``.
+
+    ``oracle_cells`` maps each oracle-sampling shard's id to its
+    policy → cell indices: those shards fork *every* policy's template
+    of their app, so those cells are provisioned too.  ``cells`` lists
+    every cell whose template some shard forks, ascending.
+    """
+    oracle_cells = {shard.shard_id: oracle_cell_indices(spec, shard)
+                    for shard in shards if oracle_members(spec, shard)}
+    cells = {shard.cell_index for shard in shards}
+    for mapping in oracle_cells.values():
+        cells.update(mapping.values())
+    return oracle_cells, sorted(cells)
+
+
+def shard_task(
+    shard: Shard, keys: dict[int, str], oracle_cells: dict[int, dict[str, int]]
+) -> tuple:
+    """``(shard, key, oracle_keys)``: the shard plus the template keys
+    it forks (``oracle_keys``: policy → (cell, key), or ``None``)."""
+    mapping = oracle_cells.get(shard.shard_id)
+    oracle_keys = ({policy: (cell, keys[cell])
+                    for policy, cell in mapping.items()}
+                   if mapping else None)
+    return shard, keys[shard.cell_index], oracle_keys
 
 
 # ----------------------------------------------------------------------
@@ -485,13 +508,13 @@ def _run_shard(
     return ShardOutcome(cohort=accumulator, oracle=oracle_acc)
 
 
-def _run_shard_task(payload) -> ShardOutcome:
-    """Self-contained shard body: templates via the per-process cache.
+def _run_shard_task(payload, *, verify_deltas: bool = False) -> ShardOutcome:
+    """The one shard body: templates via the per-process store.
 
     ``payload`` is ``(spec, shard, root, key, oracle_keys)`` with an
-    optional sixth :class:`~repro.fleet.arena.ArenaHandle` element —
-    kept as the spec-carrying entry point for tests and for hosts where
-    the initializer-based pool is unavailable.
+    optional sixth :class:`~repro.fleet.arena.ArenaHandle` element.
+    The fleet pool (:func:`_run_shard_entry`), its pool-less fallback
+    and the daemon's shard units all run through here.
     """
     spec, shard, root, key, oracle_keys = payload[:5]
     arena = payload[5] if len(payload) > 5 else None
@@ -504,7 +527,8 @@ def _run_shard_task(payload) -> ShardOutcome:
                                           arena)
             for policy, (cell_index, pol_key) in oracle_keys.items()
         }
-    return _run_shard(spec, shard, template, oracle_templates)
+    return _run_shard(spec, shard, template, oracle_templates,
+                      verify_deltas=verify_deltas)
 
 
 # ----------------------------------------------------------------------
@@ -513,11 +537,8 @@ def _run_shard_task(payload) -> ShardOutcome:
 # One FleetSpec pickle per worker (via the pool initializer), not one
 # per task — at ~31k shards for a million-device fleet, spec-carrying
 # payloads would serialise the spec thousands of times over.
-_WORKER_SPEC: FleetSpec | None = None
-_WORKER_ROOT: str | None = None
-_WORKER_ARENA: ArenaHandle | None = None
-_WORKER_COLLECT_STATS = False
-_WORKER_VERIFY_DELTAS = False
+_WORKER: tuple = ()
+"""``(spec, root, arena, collect_stats, verify_deltas)`` of the run."""
 
 
 def _fleet_worker_init(
@@ -527,37 +548,20 @@ def _fleet_worker_init(
     collect_stats: bool,
     verify_deltas: bool,
 ) -> None:
-    global _WORKER_SPEC, _WORKER_ROOT, _WORKER_ARENA
-    global _WORKER_COLLECT_STATS, _WORKER_VERIFY_DELTAS
+    global _WORKER
     # Forked workers inherit the coordinator's counters; zero them so a
     # worker's stats report covers exactly its own work.
     _reset_template_cache()
-    _WORKER_SPEC = spec
-    _WORKER_ROOT = root
-    _WORKER_ARENA = arena
-    _WORKER_COLLECT_STATS = collect_stats
-    _WORKER_VERIFY_DELTAS = verify_deltas
+    _WORKER = (spec, root, arena, collect_stats, verify_deltas)
 
 
 def _run_shard_entry(task) -> ShardOutcome:
     """Pool task body: ``(shard, key, oracle_keys)`` against init state."""
     shard, key, oracle_keys = task
-    spec = _WORKER_SPEC
-    assert spec is not None and _WORKER_ROOT is not None
-    template = _load_worker_template(
-        _WORKER_ROOT, key, spec, shard.cell_index, _WORKER_ARENA
-    )
-    oracle_templates = None
-    if oracle_keys:
-        oracle_templates = {
-            policy: _load_worker_template(
-                _WORKER_ROOT, pol_key, spec, cell_index, _WORKER_ARENA
-            )
-            for policy, (cell_index, pol_key) in oracle_keys.items()
-        }
-    outcome = _run_shard(spec, shard, template, oracle_templates,
-                         verify_deltas=_WORKER_VERIFY_DELTAS)
-    if _WORKER_COLLECT_STATS:
+    spec, root, arena, collect_stats, verify_deltas = _WORKER
+    outcome = _run_shard_task((spec, shard, root, key, oracle_keys, arena),
+                              verify_deltas=verify_deltas)
+    if collect_stats:
         outcome.stats = {"pid": os.getpid(), **template_cache_stats()}
     return outcome
 
@@ -570,21 +574,6 @@ def steal_order(shards: Sequence[Shard]) -> list[Shard]:
     this only shapes the wall-clock tail.
     """
     return sorted(shards, key=lambda s: (-s.devices, s.shard_id))
-
-
-def _delta_bases(spec: FleetSpec, keys: dict[int, str]) -> dict[str, str]:
-    """Arena delta mapping: sibling-policy templates of one app share
-    most of their payload, so store them as patches against the app's
-    first-policy (base) template.  Cells are app-major, so the base
-    cell of ``cell_index`` is the first cell of the same app-block.
-    """
-    policies = len(spec.policies)
-    bases: dict[str, str] = {}
-    for cell_index, key in keys.items():
-        base_index = (cell_index // policies) * policies
-        if base_index != cell_index and base_index in keys:
-            bases[key] = keys[base_index]
-    return bases
 
 
 # ----------------------------------------------------------------------
@@ -715,8 +704,9 @@ def run_fleet(
     ``shard_ids`` restricts execution to a subset of the plan — partial
     runs merge back together with :func:`merge_fleet_results`.
     ``use_templates=False`` is the benchmark's cold path (per-device
-    setup instead of cohort forking); ``use_arena=False`` forces the
-    per-worker disk cache even where shared memory is available.
+    setup instead of cohort forking); ``use_arena=False`` makes workers
+    read templates from the disk store even where shared memory is
+    available.
 
     ``checkpoint_path`` makes the run resumable: completed shards are
     periodically published there (every ``checkpoint_every`` folds,
@@ -800,20 +790,7 @@ def run_fleet(
         workers = _resolve_jobs(
             _CONFIG.jobs if jobs is None else jobs, len(todo)
         )
-        needed_cells = sorted({shard.cell_index for shard in todo})
-        # Shards that run oracle sessions fork *every* policy's template
-        # of their app, so those cells must be provisioned too.
-        oracle_cells: dict[int, dict[str, int]] = {}
-        for shard in todo:
-            if oracle_members(spec, shard):
-                oracle_cells[shard.shard_id] = \
-                    oracle_cell_indices(spec, shard)
-        all_cells = sorted(
-            set(needed_cells).union(
-                cell for mapping in oracle_cells.values()
-                for cell in mapping.values()
-            )
-        )
+        oracle_cells, all_cells = template_plan(spec, todo)
 
         if workers <= 1 or len(todo) <= 1 or not use_templates:
             # Serial bypass: a resolved jobs of 1 (explicit --jobs 1, or
@@ -903,46 +880,34 @@ def _run_sharded(
 ) -> None:
     """Work-steal shards across a process pool, folding on completion.
 
-    Templates are published to the shared-memory arena (zero-copy hot
-    path) *and* the disk store (the fallback tier); each shard is its
-    own pool task, submitted largest-first through a bounded in-flight
-    window, so idle workers always pull the next undone shard and
-    ``fold`` (hence checkpointing) sees outcomes as they land.
+    Templates are published to a run-scoped shared-memory arena
+    (zero-copy hot path) *and* the disk store (the fallback tier); each
+    shard is its own pool task, submitted largest-first through a
+    bounded in-flight window, so idle workers always pull the next
+    undone shard and ``fold`` (hence checkpointing) sees outcomes as
+    they land.
     """
     root = snapshot_root or tempfile.mkdtemp(prefix="repro-fleet-templates-")
     cleanup = snapshot_root is None
-    arena: TemplateArena | None = None
+    arena = ResidentArena() if use_arena else None
     try:
-        store = SnapshotStore(root=root)
+        store = SnapshotStore(root=root, capacity=0)
         keys: dict[int, str] = {}
-        snapshots: dict[str, SystemSnapshot] = {}
         for cell_index in needed_cells:
-            key = template_key(spec, cell_index)
-            keys[cell_index] = key
-            snap = store._read_disk(key)
-            if snap is None:
+            key = keys[cell_index] = template_key(spec, cell_index)
+            hit, snap = store.get(key)
+            if not hit:
                 snap = capture_template(spec, cell_index)
                 store.put(key, snap)
-            snapshots[key] = snap
-        handle: ArenaHandle | None = None
-        if use_arena:
-            arena = TemplateArena.publish(
-                snapshots, _delta_bases(spec, keys)
-            )
             if arena is not None:
-                handle = arena.handle
-
-        def oracle_keys(shard: Shard):
-            mapping = oracle_cells.get(shard.shard_id)
-            if not mapping:
-                return None
-            return {policy: (cell_index, keys[cell_index])
-                    for policy, cell_index in mapping.items()}
-
-        tasks = deque(
-            (shard, keys[shard.cell_index], oracle_keys(shard))
-            for shard in steal_order(shards)
-        )
+                arena.publish(key, snap)
+        # The run holds a reference on every template until destroy(),
+        # so nothing is evicted under a running pool.
+        handle = (arena.acquire([key for key in keys.values()
+                                 if key in arena])
+                  if arena is not None else None)
+        tasks = deque(shard_task(shard, keys, oracle_cells)
+                      for shard in steal_order(shards))
 
         def record(outcome: ShardOutcome) -> None:
             if collect_stats and outcome.stats:

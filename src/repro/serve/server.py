@@ -2,10 +2,11 @@
 
 One asyncio process owns everything the batch paths normally rebuild
 per invocation — a :class:`~repro.engine.pool.PersistentPool` of
-workers, a disk :class:`~repro.engine.snapshots.SnapshotStore` and
-:class:`~repro.engine.cache.ResultCache`, and a refcounted
-:class:`~repro.fleet.arena.ResidentArena` of cohort templates — and
-serves jobs over a minimal HTTP/1.1 + JSON-lines protocol:
+workers, a :class:`~repro.engine.cache.ResultCache`, and cohort
+templates in two tiers: a refcounted
+:class:`~repro.fleet.arena.ResidentArena` (the memory tier, shared with
+the workers) over a disk-only :class:`~repro.engine.snapshots.SnapshotStore`
+— and serves jobs over a minimal HTTP/1.1 + JSON-lines protocol:
 
 * ``POST /jobs``                — submit ``{"kind", "params", "client"}``;
   responds with the job id.
@@ -46,6 +47,7 @@ from repro.engine.batch import _resolve_jobs
 from repro.engine.cache import ResultCache
 from repro.engine.pool import PersistentPool
 from repro.engine.snapshots import SnapshotStore
+from repro.engine.store import atomic_write
 from repro.errors import ServeError, SimulationError
 from repro.fleet.arena import DEFAULT_RESIDENT_BUDGET, ResidentArena
 from repro.serve import tasks
@@ -116,7 +118,8 @@ class Daemon:
         self.root = root or tempfile.mkdtemp(prefix="repro-serve-")
         os.makedirs(self.root, exist_ok=True)
         self.template_root = os.path.join(self.root, "templates")
-        self.store = SnapshotStore(root=self.template_root)
+        # Disk only: the resident arena is the templates' memory tier.
+        self.store = SnapshotStore(root=self.template_root, capacity=0)
         self.cache = ResultCache(root=os.path.join(self.root, "results"))
         self.resident = ResidentArena(template_budget)
         self.pool = PersistentPool(self.workers)
@@ -196,24 +199,10 @@ class Daemon:
 
     # --- fleet: the shard coordinator ----------------------------------
     def _prepare_fleet(self, job: Job, spec) -> None:
-        from repro.fleet.run import (
-            oracle_cell_indices,
-            oracle_members,
-            plan_shards,
-            template_key,
-        )
+        from repro.fleet.run import plan_shards, template_key, template_plan
 
         shards = plan_shards(spec)
-        oracle_cells = {
-            shard.shard_id: oracle_cell_indices(spec, shard)
-            for shard in shards if oracle_members(spec, shard)
-        }
-        all_cells = sorted(
-            {shard.cell_index for shard in shards}.union(
-                cell for mapping in oracle_cells.values()
-                for cell in mapping.values()
-            )
-        )
+        oracle_cells, all_cells = template_plan(spec, shards)
         keys = {cell: template_key(spec, cell) for cell in all_cells}
         state = _FleetState(spec, shards, oracle_cells, keys)
         job.fleet = state
@@ -225,8 +214,8 @@ class Daemon:
         for cell_index, key in keys.items():
             if self.resident.warm(key):
                 continue
-            snap = self.store._read_disk(key)
-            if snap is not None:
+            hit, snap = self.store.get(key)
+            if hit:
                 # Disk-warm: publish best-effort; with no usable shared
                 # memory the workers read the store directly instead.
                 self.resident.publish(key, snap)
@@ -242,26 +231,19 @@ class Daemon:
 
     def _stage_fleet_shards(self, job: Job) -> None:
         """All templates resident: take references, queue shard units."""
-        from repro.fleet.run import steal_order
+        from repro.fleet.run import shard_task, steal_order
 
         state = job.fleet
         wanted = [key for key in state.keys.values()
                   if key in self.resident]
         state.handle = self.resident.acquire(wanted)
         state.acquired = tuple(wanted)
-
-        def oracle_keys(shard):
-            mapping = state.oracle_cells.get(shard.shard_id)
-            if not mapping:
-                return None
-            return {policy: (cell, state.keys[cell])
-                    for policy, cell in mapping.items()}
-
         for shard in steal_order(state.shards):
+            _, key, oracle_keys = shard_task(shard, state.keys,
+                                             state.oracle_cells)
             job.add_unit(
                 tasks.run_shard_unit,
-                (state.spec, shard, self.template_root,
-                 state.keys[shard.cell_index], oracle_keys(shard),
+                (state.spec, shard, self.template_root, key, oracle_keys,
                  state.handle),
                 tag=f"shard:{shard.shard_id}",
             )
@@ -639,11 +621,8 @@ async def _serve(host, port, jobs, root, ready_file, stream_every,
           f"({daemon.workers} worker{'s' if daemon.workers != 1 else ''})",
           flush=True)
     if ready_file is not None:
-        payload = json.dumps({"url": url, "pid": os.getpid()})
-        tmp = ready_file + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as handle:
-            handle.write(payload + "\n")
-        os.replace(tmp, ready_file)
+        atomic_write(ready_file,
+                     json.dumps({"url": url, "pid": os.getpid()}) + "\n")
     try:
         async with server:
             await front._closing.wait()

@@ -9,9 +9,9 @@ entry point (:func:`repro.fleet.run._run_shard_task` — the same code a
 CLI run executes, so outcomes fold byte-identically), oracle sessions
 through ``repro.oracle``, hunts through ``repro.hunt``, and experiment
 units through the engine's ``execute_request``.  Because the workers
-outlive any one job, the per-process template cache in ``fleet/run.py``
-stays warm across requests — that cache's LRU cap exists for exactly
-this caller.
+outlive any one job, the per-process template store in ``fleet/run.py``
+stays warm across requests — that store's 64-entry cap exists for
+exactly this caller.
 
 The report bodies return ``(report_json, clean, text)``: the canonical
 report string ``-o`` writes, whether it is free of simulator bugs, and

@@ -146,7 +146,7 @@ class TestStoreWiring:
         _execute_unit(_probe_requests(), live_store, False)
         [path] = list(tmp_path.rglob("*.snap"))
         path.write_bytes(b"not a snapshot")
-        assert store.get(next(iter(live_store._memory))) is None
+        assert store.get(next(iter(live_store._memory))) == (False, None)
         assert store.stats.misses == 1
 
 

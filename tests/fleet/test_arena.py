@@ -21,7 +21,7 @@ import signal
 import pytest
 
 from repro.fleet.arena import (
-    TemplateArena,
+    ResidentArena,
     _detach_all,
     _reset_arena_stats,
     arena_available,
@@ -30,7 +30,6 @@ from repro.fleet.arena import (
 )
 from repro.fleet.run import (
     FleetSpec,
-    _delta_bases,
     _reset_template_cache,
     capture_template,
     run_fleet,
@@ -56,25 +55,30 @@ def _shm_entries() -> set[str]:
     return set(glob.glob("/dev/shm/psm_*"))
 
 
-def _publish(cell_indices=(0,), delta=False):
+def _publish(cell_indices=(0,)):
+    """Publish and acquire the cells' templates, as a pool fleet does."""
     keys = {ci: template_key(SPEC, ci) for ci in cell_indices}
     snaps = {keys[ci]: capture_template(SPEC, ci) for ci in cell_indices}
-    bases = _delta_bases(SPEC, keys) if delta else None
-    arena = TemplateArena.publish(snaps, bases)
-    assert arena is not None
-    return arena, keys, snaps
+    arena = ResidentArena()
+    for key, snap in snaps.items():
+        assert arena.publish(key, snap)
+    return arena, arena.acquire(list(snaps)), keys, snaps
+
+
+def _segment(arena, key):
+    return arena._resident[key].shm.buf
 
 
 class TestLifecycle:
     def test_destroy_removes_the_segment(self):
         before = _shm_entries()
-        arena, _, _ = _publish()
+        arena, _, _, _ = _publish()
         assert len(_shm_entries()) == len(before) + 1
         arena.destroy()
         assert _shm_entries() == before
 
     def test_destroy_is_idempotent(self):
-        arena, _, _ = _publish()
+        arena, _, _, _ = _publish()
         arena.destroy()
         arena.destroy()
 
@@ -88,16 +92,16 @@ class TestLifecycle:
         segment down with it, and the coordinator's destroy() still
         cleans up."""
         before = _shm_entries()
-        arena, keys, snaps = _publish()
+        arena, handle, keys, snaps = _publish()
         key = keys[0]
         pid = os.fork()
         if pid == 0:  # the doomed worker: attach, then die hard
-            arena_get(arena.handle, key)
+            arena_get(handle, key)
             os.kill(os.getpid(), signal.SIGKILL)
         os.waitpid(pid, 0)
         # Segment still alive and readable after the worker's death...
         _detach_all()
-        survivor = arena_get(arena.handle, key)
+        survivor = arena_get(handle, key)
         assert survivor is not None
         assert bytes(survivor.payload) == bytes(snaps[key].payload)
         # ...and gone after the owner destroys it.
@@ -108,49 +112,48 @@ class TestLifecycle:
 
 class TestMissSemantics:
     def test_unknown_key_is_a_miss(self):
-        arena, _, _ = _publish()
+        arena, handle, _, _ = _publish()
         try:
             _reset_arena_stats()
-            assert arena_get(arena.handle, "no-such-key") is None
+            assert arena_get(handle, "no-such-key") is None
             assert arena_stats()["arena_misses"] == 1
         finally:
             arena.destroy()
 
     def test_unlinked_segment_is_a_miss(self):
-        arena, keys, _ = _publish()
-        handle = arena.handle
+        arena, handle, keys, _ = _publish()
         arena.destroy()
         _reset_arena_stats()
         assert arena_get(handle, keys[0]) is None
         assert arena_stats()["arena_misses"] == 1
 
     def test_corrupt_payload_is_a_miss_not_an_error(self):
-        arena, keys, _ = _publish()
+        arena, handle, keys, _ = _publish()
         try:
-            entry = arena.handle.entry(keys[0])
-            arena._shm.buf[entry.payload_offset] ^= 0xFF
+            entry = handle.entry(keys[0])
+            _segment(arena, keys[0])[entry.meta_length] ^= 0xFF
             _reset_arena_stats()
-            assert arena_get(arena.handle, keys[0]) is None
+            assert arena_get(handle, keys[0]) is None
             assert arena_stats()["arena_corrupt"] == 1
         finally:
             arena.destroy()
 
     def test_corrupt_segment_rebuild_is_byte_identical(self, monkeypatch):
-        """End to end: zeroing the published segment degrades every
-        worker to the disk/cold fallback, and the report stays
-        byte-identical (fork-equals-fresh, pinned)."""
+        """End to end: zeroing every resident segment of a ``jobs=2``
+        run degrades every worker to the disk/cold fallback, and the
+        report stays byte-identical (fork-equals-fresh, pinned)."""
         golden = run_fleet(SPEC, jobs=1).report()
 
-        original = TemplateArena.publish.__func__
+        original = ResidentArena.publish
 
-        def corrupting_publish(cls, snapshots, delta_bases=None):
-            arena = original(cls, snapshots, delta_bases)
-            if arena is not None:
-                arena._shm.buf[:] = bytes(len(arena._shm.buf))
-            return arena
+        def corrupting_publish(self, key, snap):
+            published = original(self, key, snap)
+            if published:
+                segment = _segment(self, key)
+                segment[:] = bytes(len(segment))
+            return published
 
-        monkeypatch.setattr(TemplateArena, "publish",
-                            classmethod(corrupting_publish))
+        monkeypatch.setattr(ResidentArena, "publish", corrupting_publish)
         corrupted = run_fleet(SPEC, jobs=2, collect_stats=True)
         assert {k: v for k, v in corrupted.report().items()
                 if k != "cache"} == golden
@@ -163,9 +166,9 @@ class TestMissSemantics:
 
 class TestZeroCopyAndDeltas:
     def test_full_entry_payload_is_a_shared_view(self):
-        arena, keys, snaps = _publish()
+        arena, handle, keys, snaps = _publish()
         try:
-            got = arena_get(arena.handle, keys[0])
+            got = arena_get(handle, keys[0])
             assert isinstance(got.payload, memoryview)
             assert bytes(got.payload) == bytes(snaps[keys[0]].payload)
             assert got.policy_name == snaps[keys[0]].policy_name
@@ -174,28 +177,20 @@ class TestZeroCopyAndDeltas:
             _detach_all()
             arena.destroy()
 
-    def test_sibling_policies_are_stored_as_deltas(self):
-        cells = (0, 1, 2)  # first app x all three policies
-        arena, keys, snaps = _publish(cells, delta=True)
-        try:
-            base_entry = arena.handle.entry(keys[0])
-            assert base_entry.base_key is None
-            for ci in (1, 2):
-                entry = arena.handle.entry(keys[ci])
-                assert entry.base_key == keys[0]
-                assert entry.payload_length \
-                    < len(bytes(snaps[keys[ci]].payload))
-                composed = arena_get(arena.handle, keys[ci])
-                assert bytes(composed.payload) \
-                    == bytes(snaps[keys[ci]].payload)
-        finally:
-            _detach_all()
-            arena.destroy()
+    def test_pool_fleet_reads_every_template_from_the_arena(self):
+        golden = run_fleet(SPEC, jobs=1).to_json()
+        pooled = run_fleet(SPEC, jobs=2, collect_stats=True)
+        stats = pooled.cache_stats
+        assert stats["arena_hits"] > 0
+        assert stats["arena_fallbacks"] == 0
+        assert stats["disk_reads"] == stats["rebuilds"] == 0
+        pooled.cache_stats = None
+        assert pooled.to_json() == golden
 
     def test_restored_template_behaves_identically(self):
-        arena, keys, snaps = _publish()
+        arena, handle, keys, snaps = _publish()
         try:
-            via_arena = arena_get(arena.handle, keys[0]).restore()
+            via_arena = arena_get(handle, keys[0]).restore()
             direct = snaps[keys[0]].restore()
             via_arena.rotate()
             direct.rotate()

@@ -1,5 +1,5 @@
 """Fleet executor: shard planning, determinism across execution shapes,
-fault injection, and the per-worker template cache."""
+fault injection, and the per-worker template store."""
 
 import pytest
 

@@ -281,3 +281,26 @@ def test_cancellation_leaves_no_orphans(tmp_path, reference_report):
                  if "checkpoint" in os.path.basename(path)
                  or path.endswith(".ckpt")]
     assert leftovers == []
+
+
+def test_template_store_keeps_nothing_in_memory(tmp_path):
+    """The resident arena is the daemon's template memory tier; the
+    snapshot store behind it is disk-only, so a long-lived daemon does
+    not keep every template it ever captured on its heap."""
+    from repro.serve.server import Daemon
+
+    async def run_jobs():
+        daemon = Daemon(jobs=1, root=str(tmp_path))
+        try:
+            for seed in (1, 2, 3):
+                job = daemon.submit("fleet", {"devices": 3, "seed": seed},
+                                    "tests")
+                while not job.terminal:
+                    await asyncio.sleep(0.01)
+                assert job.state == "done"
+            assert daemon.store.stats.stores > 0  # captured and persisted
+            assert len(daemon.store) == 0
+        finally:
+            daemon.shutdown()
+
+    asyncio.run(run_jobs())

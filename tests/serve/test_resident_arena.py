@@ -1,7 +1,8 @@
 """Resident template arena: refcounts, eviction, identity, lifecycle.
 
-The resident arena is the daemon's warm path, so the promises here are
-sharper than the batch arena's: a template acquired by a running job
+The resident arena is the daemon's warm path (and, run-scoped, a pool
+fleet's), so the promises here go beyond miss semantics: a template
+acquired by a running job
 must never vanish underneath it (refcounts pin segments against both
 LRU eviction and ``evict(all_idle=True)``), eviction is observable only
 as a later miss, and ``destroy()`` returns ``/dev/shm`` to exactly its
