@@ -17,10 +17,12 @@ executable in any process.
 * cache misses are **grouped by prefix fingerprint**: requests that
   differ only in their scenario's *divergent* kwargs share everything up
   to the divergence point, so the engine runs the shared prefix once,
-  snapshots the device (:mod:`repro.sim.snapshot`), and forks each cell
-  — correct because forks are byte-identical to fresh runs, and
-  checkable with ``verify_forks`` (re-run a sample from scratch and
-  compare canonical encodings);
+  and — when forking pays — snapshots the device
+  (:mod:`repro.sim.snapshot`) and forks each cell — correct because
+  forks are byte-identical to fresh runs, and checkable with
+  ``verify_forks`` (re-run a sample from scratch and compare canonical
+  encodings).  Whether forking pays is decided per group from the host
+  time the batch measured itself (:class:`ForkLedger`);
 * ``jobs`` fans groups across a ``ProcessPoolExecutor``; ``"auto"``
   (the default) resolves to ``min(cpu_count, work units)`` and bypasses
   the pool entirely when that is 1, so single-core hosts never pay the
@@ -35,6 +37,8 @@ from __future__ import annotations
 
 import json
 import os
+import time
+from collections import Counter
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Sequence
 
@@ -232,9 +236,13 @@ class EngineConfig:
     cache: "bool | ResultCache" = False
     cache_root: str = DEFAULT_CACHE_ROOT
     snapshots: bool = True
-    """Group cache misses by prefix fingerprint and fork from snapshots.
-    Automatically disabled while a TraceSession is active (forked systems
-    would escape the session's tracer registry)."""
+    """Allow forking: group cache misses by prefix fingerprint, run each
+    group's prefix once, and fork the other cells from a snapshot when
+    the batch's own host-time measurements say the restores save more
+    than the capture costs (otherwise they run fresh; see
+    :class:`ForkLedger`).  Automatically disabled while a TraceSession
+    is active (forked systems would escape the session's tracer
+    registry)."""
     verify_forks: bool = False
     """Re-run a sample of forked cells from scratch and fail loudly if
     any canonical encoding differs (the ``--verify-forks`` CLI flag)."""
@@ -303,6 +311,66 @@ def _resolve_cache(cache: "bool | ResultCache | None") -> ResultCache | None:
 # ----------------------------------------------------------------------
 # execution
 # ----------------------------------------------------------------------
+#: Host clock the fork decision reads (a binding tests can replace).
+_clock = time.perf_counter
+
+#: Multi-cell prefix groups run in this process, by how their cells ran:
+#: ``"forked"`` (from a new or stored snapshot) or ``"fresh"``.  Pure
+#: accounting for benchmarks; no decision reads it.
+prefix_groups: Counter = Counter()
+
+
+class ForkLedger:
+    """Mean capture and restore host seconds per ``(kind, policy)``.
+
+    A ledger lives for one :func:`run_batch` call (a pool worker keeps
+    one for its pool's lifetime, which is the same call), so each call
+    learns its costs afresh and no timing outlives it.  Prefix costs
+    differ by kind *and* by policy — RuntimeDroid's probe-sweep prefix
+    is ~6.5x cheaper than RCHDroid's — hence the key.  Host timings
+    steer only *how* a group runs, never what it returns.
+    """
+
+    def __init__(self) -> None:
+        # (kind, policy) -> (total seconds, count)
+        self._captures: dict[tuple[str, str], tuple[float, int]] = {}
+        self._restores: dict[tuple[str, str], tuple[float, int]] = {}
+
+    def captured(self, key: tuple[str, str], seconds: float) -> None:
+        total, count = self._captures.get(key, (0.0, 0))
+        self._captures[key] = (total + seconds, count + 1)
+
+    def restored(self, key: tuple[str, str], seconds: float) -> None:
+        total, count = self._restores.get(key, (0.0, 0))
+        self._restores[key] = (total + seconds, count + 1)
+
+    def pays(self, key: tuple[str, str], cells: int,
+             prepare_s: float) -> bool:
+        """Whether forking beats running cells 1..``cells``-1 fresh.
+
+        Forking replaces ``cells - 1`` prepares of ``prepare_s`` each
+        by as many restores, at the price of one capture.  Without an
+        estimate for ``key`` yet the answer is yes: forking is how the
+        estimate is learned.
+        """
+        if key not in self._captures or key not in self._restores:
+            return True
+        capture_s, captures = self._captures[key]
+        restore_s, restores = self._restores[key]
+        return (cells - 1) * (prepare_s - restore_s / restores) \
+            > capture_s / captures
+
+
+#: The ledger of a batch pool worker (set by :func:`_start_worker`).
+_WORKER_LEDGER: "ForkLedger | None" = None
+
+
+def _start_worker() -> None:
+    """Pool initializer: one ledger per worker for the pool's lifetime."""
+    global _WORKER_LEDGER
+    _WORKER_LEDGER = ForkLedger()
+
+
 def run_batch(
     requests: Iterable[RunRequest],
     *,
@@ -317,6 +385,14 @@ def run_batch(
     settings (``jobs="auto"``, uncached, prefix-sharing on out of the
     box).  ``cache=True`` uses the shared default cache; a
     :class:`ResultCache` instance is used as-is.
+
+    With sharing on, a group of k ≥ 2 misses that also misses the
+    snapshot store times its live prepare as P and forks only when
+    ``(k - 1) * (P - R) > C``, where R and C are this call's mean
+    restore and capture seconds for the group's ``(kind, policy)``; the
+    first such group of each ``(kind, policy)`` always forks, which is
+    how R and C are learned.  Otherwise its cells run fresh.  Results
+    are byte-identical either way; only host time differs.
     """
     requests = list(requests)
     jobs = _CONFIG.jobs if jobs is None else jobs
@@ -389,9 +465,10 @@ def _execute_pending(
     results: list = [None] * len(requests)
     if workers <= 1 or len(units) <= 1:
         store = SnapshotStore(root=snap_root)
+        ledger = ForkLedger()
         for positions in units:
             unit_results = _execute_unit(
-                [requests[p] for p in positions], store, verify
+                [requests[p] for p in positions], store, verify, ledger
             )
             for position, result in zip(positions, unit_results):
                 results[position] = result
@@ -405,11 +482,13 @@ def _execute_pending(
     ]
     chunksize = max(1, len(units) // (workers * 4))
     try:
-        pool = ProcessPoolExecutor(max_workers=workers)
+        pool = ProcessPoolExecutor(max_workers=workers,
+                                   initializer=_start_worker)
     except (OSError, ValueError):  # no usable multiprocessing here
         store = SnapshotStore(root=snap_root)
+        ledger = ForkLedger()
         unit_lists = [
-            _execute_unit(list(reqs), store, verify)
+            _execute_unit(list(reqs), store, verify, ledger)
             for reqs, _, _ in payloads
         ]
     else:
@@ -427,52 +506,73 @@ def _execute_unit_task(payload) -> list:
     """Worker body for one prefix group (pool processes start cold)."""
     unit_requests, snap_root, verify = payload
     return _execute_unit(list(unit_requests), SnapshotStore(root=snap_root),
-                         verify)
+                         verify, _WORKER_LEDGER)
 
 
 def _execute_unit(
     unit_requests: list[RunRequest],
     store: SnapshotStore,
     verify: bool,
+    ledger: "ForkLedger | None" = None,
 ) -> list:
-    """Run one prefix group: shared prepare, snapshot, fork each cell.
+    """Run one prefix group: shared prepare, then fork or run fresh.
 
     A lone request runs the classic fresh path — grouping must never add
     overhead to sweeps that happen not to share anything (table5's 200
-    cells are all distinct apps).
+    cells are all distinct apps).  A group whose snapshot is stored
+    forks every cell from it.  Otherwise the prefix is prepared on a
+    live system, timed, and captured only when ``ledger`` (a new one
+    when ``None``) says forking pays; when it does not, the other cells
+    run fresh and nothing is captured or stored.
     """
     first = unit_requests[0]
     if len(unit_requests) == 1:
         return [execute_request(first)]
+    if ledger is None:
+        ledger = ForkLedger()
 
     spec = SCENARIOS[first.kind]
     kwargs = dict(first.kwargs)
     costs = kwargs.get("costs")
     prefix_kwargs, _ = spec.split_kwargs(kwargs, first.seed)
+    cost_key = (first.kind, first.policy)
 
     key = first.prefix_key()
     hit, snap = store.get(key)
     live = None
     if not hit:
+        start = _clock()
         live = AndroidSystem(
             policy=POLICIES[first.policy](), costs=costs, seed=first.seed
         )
         spec.prepare(live, first.app, **prefix_kwargs)
-        snap = SystemSnapshot.capture(live)
-        store.put(key, snap)
+        if ledger.pays(cost_key, len(unit_requests), _clock() - start):
+            start = _clock()
+            snap = SystemSnapshot.capture(live)
+            ledger.captured(cost_key, _clock() - start)
+            store.put(key, snap)
+    prefix_groups["fresh" if snap is None else "forked"] += 1
 
     results = []
+    forked = []
     for index, request in enumerate(unit_requests):
+        if live is not None and index == 0:
+            # The first cell continues on the live system we just
+            # built — that IS the fresh path.
+            system = live
+        elif snap is None:
+            results.append(execute_request(request))
+            continue
+        else:
+            start = _clock()
+            system = snap.restore()
+            ledger.restored(cost_key, _clock() - start)
+            forked.append(index)
         _, suffix_kwargs = spec.split_kwargs(dict(request.kwargs),
                                              request.seed)
-        # The first cell continues on the live system when we just built
-        # it — that IS the fresh path; every other cell forks.
-        system = live if (live is not None and index == 0) else snap.restore()
         results.append(spec.finish(system, request.app, **suffix_kwargs))
 
     if verify:
-        forked = [i for i in range(len(unit_requests))
-                  if not (live is not None and i == 0)]
         for index in _verify_sample(forked):
             fresh = execute_request(unit_requests[index])
             if _canonical(fresh) != _canonical(results[index]):

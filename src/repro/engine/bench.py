@@ -43,8 +43,10 @@ the smallest, because the executor streams accumulators instead of
 materialising devices.
 
 ``--resume-check`` additionally starts a checkpointed fleet run in a
-subprocess, SIGKILLs it once the first checkpoint lands, resumes it,
-and gates the resumed report byte-identical to an uninterrupted run.
+subprocess, SIGKILLs its whole process group (coordinator and pool
+workers) once the first checkpoint lands, resumes it, and gates the
+resumed report byte-identical to an uninterrupted run and the killed
+group empty afterwards (no orphaned workers).
 ``--max-rss-mb N`` arms a hard address-space ceiling
 (``resource.setrlimit``) before anything runs — the CI scale job uses
 it to turn "bounded memory" from a claim into an enforced limit — and
@@ -432,10 +434,12 @@ def fleet_resume_check(
 
     Three subprocess runs of the real CLI: an uninterrupted reference,
     a checkpointed run SIGKILLed as soon as its first checkpoint lands,
-    and a resume from that checkpoint.  The gate is byte-identity of
-    the resumed JSON report against the uninterrupted one.
+    and a resume from that checkpoint.  The victim runs in its own
+    session, so the kill takes its pool workers and resource tracker
+    down with it; ``orphans`` counts the group's processes still alive
+    after a grace period.  The gates are byte-identity of the resumed
+    JSON report against the uninterrupted one and zero orphans.
     """
-    import signal
     import subprocess
 
     env = _repro_env()
@@ -460,15 +464,14 @@ def fleet_resume_check(
         victim = subprocess.Popen(
             base_cmd(interrupted) + ckpt_args, env=env,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            start_new_session=True,
         )
         deadline = time.monotonic() + 600
         while (not os.path.exists(ckpt) and victim.poll() is None
                and time.monotonic() < deadline):
             time.sleep(0.05)
         killed = victim.poll() is None
-        if killed:
-            victim.send_signal(signal.SIGKILL)
-        victim.wait(timeout=60)
+        orphans = kill_process_group(victim)
 
         resume = subprocess.run(
             base_cmd(interrupted) + ckpt_args, env=env,
@@ -483,9 +486,59 @@ def fleet_resume_check(
             "devices": devices,
             "jobs": jobs,
             "killed_mid_run": killed,
+            "orphans": orphans,
             "resume_exit": resume.returncode,
             "identical": identical,
         }
+
+
+def kill_process_group(leader, *, grace_s: float = 10.0) -> int:
+    """SIGKILL the process group ``leader`` (a ``Popen`` started with
+    ``start_new_session=True``) leads; return how many of its processes
+    are still alive after ``grace_s``.
+
+    Zombies count as gone: a killed pool worker whose parent died is
+    reaped by whoever adopted it, on that process's schedule.
+    """
+    import signal
+
+    try:
+        os.killpg(leader.pid, signal.SIGKILL)
+    except ProcessLookupError:
+        pass
+    leader.wait(timeout=60)
+    deadline = time.monotonic() + grace_s
+    while True:
+        alive = _group_members(leader.pid)
+        if not alive or time.monotonic() >= deadline:
+            return len(alive)
+        time.sleep(0.05)
+
+
+def _group_members(pgid: int) -> list[int]:
+    """Live (non-zombie) pids in process group ``pgid``."""
+    try:
+        entries = os.listdir("/proc")
+    except OSError:  # no procfs: signal 0 tells "some member exists"
+        try:
+            os.killpg(pgid, 0)
+        except ProcessLookupError:
+            return []
+        return [pgid]
+    members = []
+    for entry in entries:
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", "rb") as handle:
+                stat = handle.read()
+        except OSError:
+            continue
+        # Fields after the parenthesised command: state ppid pgrp ...
+        fields = stat[stat.rfind(b")") + 2:].split()
+        if fields[0] != b"Z" and int(fields[2]) == pgid:
+            members.append(int(entry))
+    return members
 
 
 def apply_rss_ceiling(max_rss_mb: int) -> None:
@@ -618,8 +671,9 @@ def check_fleet_report(report: dict[str, Any]) -> list[str]:
     split intact (stock crashes more under the storm; the transparent
     policies do not crash at all); and, when present, the
     killed-then-resumed report byte-identical to the uninterrupted
-    one.  Wall-clock speedups are reported, not gated — they are
-    properties of the host's core count.
+    one with no process of the killed run left alive.  Wall-clock
+    speedups are reported, not gated — they are properties of the
+    host's core count.
     """
     failures: list[str] = []
     data = report["fleet"]
@@ -707,6 +761,11 @@ def check_fleet_report(report: dict[str, Any]) -> list[str]:
             "resume: killed-then-resumed report differs from the "
             "uninterrupted run"
         )
+    if resume is not None and resume["orphans"] > 0:
+        failures.append(
+            f"resume: {resume['orphans']} process(es) of the killed run "
+            "outlived it"
+        )
     return failures
 
 
@@ -767,6 +826,7 @@ def format_fleet_report(report: dict[str, Any]) -> str:
     if resume is not None:
         lines.append(
             f"  resume: killed mid-run={resume['killed_mid_run']}, "
+            f"orphans={resume['orphans']}, "
             f"byte-identical={'yes' if resume['identical'] else 'NO'}"
         )
     return "\n".join(lines)

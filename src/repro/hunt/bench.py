@@ -14,7 +14,12 @@ measures the three properties the hunter's design leans on and writes
   pure lookups;
 * **report byte identity** — the canonical ``HuntReport.to_json()``
   must not depend on worker count (``--jobs 1`` vs ``--jobs 2``), the
-  same identity the CI smoke job checks end to end through the CLI.
+  same identity the CI smoke job checks end to end through the CLI,
+  nor on prefix sharing (the default hunt vs one with
+  ``configure(snapshots=False)``).  The sharing-on/sharing-off time
+  ratio and the count of prefix groups that forked or ran fresh under
+  the engine's cost rule are reported, not gated: they are host
+  timings.
 
 All three run in-process: the hunt's cost is simulation, not
 interpreter boot, so subprocess plumbing would only add noise.
@@ -51,6 +56,7 @@ _GENERATOR_SAMPLE = 1000
 
 
 def run_hunt_bench(apps: "int | None" = None) -> dict[str, Any]:
+    from repro.engine import batch
     from repro.engine.cache import ResultCache
     from repro.hunt.generator import generate_corpus
     from repro.hunt.search import HuntSettings, run_hunt
@@ -84,16 +90,33 @@ def run_hunt_bench(apps: "int | None" = None) -> dict[str, Any]:
         warm = run_hunt(cached_settings)
         warm_s = time.perf_counter() - start
 
-        # --- byte identity across worker counts ----------------------
+        # --- byte identity across worker counts and prefix sharing ---
+        groups_before = batch.prefix_groups.copy()
+        start = time.perf_counter()
         serial = run_hunt(settings)
+        serial_s = time.perf_counter() - start
+        groups = batch.prefix_groups - groups_before
         threaded = run_hunt(HuntSettings(apps=apps, jobs=2, cache=False))
+        previous = batch.configure(snapshots=False)
+        try:
+            start = time.perf_counter()
+            unshared = run_hunt(settings)
+            unshared_s = time.perf_counter() - start
+        finally:
+            batch.restore(previous)
 
     report.update({
         "seconds": {
             "generate_1000": round(generator_s, 4),
             "hunt_cold": round(cold_s, 4),
             "hunt_cached": round(warm_s, 4),
+            "hunt_cold_uncached": round(serial_s, 4),
+            "hunt_cold_unshared": round(unshared_s, 4),
         },
+        "prefix_groups": {"forked": groups["forked"],
+                          "fresh": groups["fresh"]},
+        "shared_vs_unshared_time": round(serial_s / unshared_s, 2)
+        if unshared_s else float("inf"),
         "generator_apps_per_s": round(rate, 1),
         "cached_speedup": round(cold_s / warm_s, 2)
         if warm_s else float("inf"),
@@ -106,6 +129,7 @@ def run_hunt_bench(apps: "int | None" = None) -> dict[str, Any]:
             "cached_vs_cold": warm.to_json() == cold.to_json(),
             "jobs2_vs_jobs1": threaded.to_json() == serial.to_json(),
             "cache_vs_nocache": serial.to_json() == cold.to_json(),
+            "shared_vs_unshared": serial.to_json() == unshared.to_json(),
         },
     })
     del corpus
@@ -154,6 +178,11 @@ def format_hunt_bench(report: dict[str, Any]) -> str:
         f"  cached hunt:         {seconds['hunt_cached']:8.3f} s   "
         f"({report['cached_speedup']}x vs cold, "
         f"gate {report['gates']['cached_speedup']}x)",
+        f"  uncached hunt:       {seconds['hunt_cold_uncached']:8.3f} s   "
+        f"sharing on, {seconds['hunt_cold_unshared']:.3f} s off "
+        f"({report['shared_vs_unshared_time']}x the sharing-off time; "
+        f"groups forked {report['prefix_groups']['forked']}, "
+        f"fresh {report['prefix_groups']['fresh']})",
         f"  findings: {report['findings']} confirmed from "
         f"{report['suspicions']} suspicions, "
         f"simulator bugs: {report['simulator_bugs']}",

@@ -17,8 +17,11 @@ Structure:
 3. **lockstep shrinking** — every confirmed finding's script is delta
    debugged, one global candidate round at a time, so one ``run_batch``
    call carries all findings' candidates (parallel across findings,
-   cache-accelerated across rounds: every candidate for one
-   ``(app, policy, seed)`` forks from the same prefix snapshot);
+   cache-accelerated across rounds when a result cache is on; within
+   one call the candidates for one ``(app, policy, seed)`` share a
+   prefix group, which the engine forks only when its cost rule says
+   forking pays — without a result cache each call starts a fresh
+   in-memory snapshot store, so no snapshot carries across rounds);
 4. **fresh replay** — each shrunk repro is re-executed on the classic
    fresh path (no cache, no snapshot forks) and its end-state digest
    must match the shrink loop's byte for byte; a mismatch is a replay
@@ -124,7 +127,9 @@ def candidate_scripts(suspicion: Suspicion) -> list[tuple[tuple, ...]]:
     Candidate 0 is the rule's own op sequence; the fallbacks append
     further configuration changes of other kinds for apps whose primary
     sequence somehow settles clean.  All candidates share the suspicion's
-    prefix, so escalation rounds fork from the same snapshot.
+    prefix key; escalation rounds are separate ``run_batch`` calls, so
+    they reuse a stored prefix snapshot only through a result cache's
+    disk tier.
     """
     base = suspicion.ops
     return [

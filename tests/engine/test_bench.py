@@ -1,6 +1,9 @@
 """bench-engine: report structure, acceptance checks, CLI parsing."""
 
 import json
+import subprocess
+import sys
+import time
 
 from repro.engine import bench
 
@@ -165,7 +168,7 @@ def _phases_section(*, identical=True, stock_asym=7.5, fixed_asym=8.4,
 
 def _fleet_report(*, identical=True, spawn_cold=0.4, spawn_forked=0.1,
                   delta_bytes=900, rss_small=25.0, rss_large=27.0,
-                  resume_identical=True, phases=None):
+                  resume_identical=True, orphans=0, phases=None):
     return {
         "bench": "repro.fleet",
         "host": {"cpu_count": 4, "python": "3.11", "platform": "test"},
@@ -201,6 +204,7 @@ def _fleet_report(*, identical=True, spawn_cold=0.4, spawn_forked=0.1,
         ],
         "phases": phases if phases is not None else _phases_section(),
         "resume": {"devices": 2000, "jobs": 2, "killed_mid_run": True,
+                   "orphans": orphans,
                    "resume_exit": 0, "identical": resume_identical},
     }
 
@@ -247,6 +251,10 @@ class TestCheckFleetReport:
         assert any("resumed report differs" in failure
                    for failure in failures)
 
+    def test_orphaned_resume_workers_fail(self):
+        failures = bench.check_fleet_report(_fleet_report(orphans=2))
+        assert any("outlived it" in failure for failure in failures)
+
     def test_missing_phases_section_fails(self):
         report = _fleet_report()
         del report["phases"]
@@ -289,6 +297,42 @@ class TestCheckFleetReport:
     def test_format_flags_divergence(self):
         text = bench.format_fleet_report(_fleet_report(identical=False))
         assert "byte-identical to serial: NO" in text
+
+
+#: A stand-in for a pool coordinator: it forks two workers that would
+#: outlive it, prints their pids, and waits.
+_COORDINATOR = """
+import os, subprocess, sys, time
+workers = [subprocess.Popen([sys.executable, "-c", "import time; time.sleep(120)"])
+           for _ in range(2)]
+print(" ".join(str(w.pid) for w in workers), flush=True)
+time.sleep(120)
+"""
+
+
+class TestKillProcessGroup:
+    def test_group_kill_leaves_no_workers_behind(self):
+        leader = subprocess.Popen([sys.executable, "-c", _COORDINATOR],
+                                  stdout=subprocess.PIPE, text=True,
+                                  start_new_session=True)
+        workers = {int(pid) for pid in leader.stdout.readline().split()}
+        assert set(bench._group_members(leader.pid)) == workers | {leader.pid}
+        assert bench.kill_process_group(leader) == 0
+        assert bench._group_members(leader.pid) == []
+        leader.stdout.close()
+
+    def test_resume_check_leaves_no_pool_workers(self):
+        resume = bench.fleet_resume_check(devices=600, jobs=2)
+        assert resume["identical"]
+        assert resume["orphans"] == 0
+
+    def test_a_dead_group_counts_zero(self):
+        leader = subprocess.Popen([sys.executable, "-c", "pass"],
+                                  start_new_session=True)
+        leader.wait(timeout=60)
+        start = time.monotonic()
+        assert bench.kill_process_group(leader) == 0
+        assert time.monotonic() - start < 5
 
 
 class TestCliParsing:

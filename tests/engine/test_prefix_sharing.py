@@ -1,4 +1,5 @@
-"""Prefix-snapshot sharing in run_batch: grouping, forking, verification."""
+"""Prefix-snapshot sharing in run_batch: grouping, forking, verification,
+and the per-batch cost rule that decides whether a group forks."""
 
 import dataclasses
 import json
@@ -16,8 +17,11 @@ from repro.engine import (
     encode_result,
     run_batch,
 )
-from repro.engine.batch import _execute_unit, _resolve_jobs
+from repro.engine import batch
+from repro.engine.batch import ForkLedger, _execute_unit, _resolve_jobs
 from repro.errors import SnapshotError
+from repro.hunt.search import HuntSettings, run_hunt
+from repro.sim.snapshot import SystemSnapshot
 from repro.trace.tracer import TraceSession
 
 
@@ -157,6 +161,159 @@ class TestTraceSessionGating:
         with TraceSession():
             inside = run_batch(requests, snapshots=True)
         assert _encoded(inside) == _encoded(fresh)
+
+
+class _FakeClock:
+    def __init__(self):
+        self.now = 0.0
+
+    def __call__(self):
+        return self.now
+
+
+@pytest.fixture
+def host_costs(monkeypatch):
+    """Replace the batch clock with a fake one that only moves when a
+    prepare, capture or restore runs, by the given seconds each; returns
+    the list of captured systems."""
+    clock = _FakeClock()
+    monkeypatch.setattr(batch, "_clock", clock)
+    captures = []
+
+    def install(prepare_s, capture_s, restore_s):
+        for kind, spec in list(SCENARIOS.items()):
+            def prepare(*args, _prepare=spec.prepare, **kwargs):
+                clock.now += prepare_s
+                return _prepare(*args, **kwargs)
+            monkeypatch.setitem(SCENARIOS, kind,
+                                dataclasses.replace(spec, prepare=prepare))
+        real_capture = SystemSnapshot.capture.__func__
+        real_restore = SystemSnapshot.restore
+
+        def capture(cls, system, **kwargs):
+            clock.now += capture_s
+            captures.append(system)
+            return real_capture(cls, system, **kwargs)
+
+        def restore(self):
+            clock.now += restore_s
+            return real_restore(self)
+
+        monkeypatch.setattr(SystemSnapshot, "capture", classmethod(capture))
+        monkeypatch.setattr(SystemSnapshot, "restore", restore)
+        return captures
+
+    return install
+
+
+#: Fake per-operation seconds shaped like the measured hunt groups (a
+#: restore costs twice the prepare it replaces) and like the probe
+#: sweep (a prepare costs several restores).
+CHEAP_PREFIX = (0.2, 1.1, 0.45)
+EXPENSIVE_PREFIX = (60.0, 19.0, 8.9)
+
+
+def _multi_group_requests():
+    """Six three-cell probe groups over two (kind, policy) pairs."""
+    return [
+        RunRequest.probe(policy, make_benchmark_app(views),
+                         audit_delay_ms=delay)
+        for policy in ("runtimedroid", "rchdroid")
+        for views in (4, 6, 8)
+        for delay in (200.0, 1_000.0, 6_000.0)
+    ]
+
+
+class TestForkLedger:
+    def test_no_estimate_forks(self):
+        assert ForkLedger().pays(("probe", "rchdroid"), 2, 0.0)
+
+    def test_needs_both_a_capture_and_a_restore(self):
+        ledger = ForkLedger()
+        ledger.restored(("probe", "rchdroid"), 5.0)
+        assert ledger.pays(("probe", "rchdroid"), 2, 0.0)
+
+    def test_rule_weighs_saved_prepares_against_one_capture(self):
+        ledger = ForkLedger()
+        key = ("probe", "rchdroid")
+        ledger.captured(key, 3.0)
+        ledger.restored(key, 1.0)
+        ledger.restored(key, 3.0)           # mean restore 2.0
+        assert not ledger.pays(key, 2, 5.0)  # 1 * 3.0 == 3.0
+        assert ledger.pays(key, 3, 5.0)      # 2 * 3.0 > 3.0
+        assert not ledger.pays(key, 50, 2.0)
+
+    def test_estimates_are_per_kind_and_policy(self):
+        ledger = ForkLedger()
+        ledger.captured(("probe", "rchdroid"), 100.0)
+        ledger.restored(("probe", "rchdroid"), 1.0)
+        assert not ledger.pays(("probe", "rchdroid"), 3, 2.0)
+        assert ledger.pays(("probe", "runtimedroid"), 3, 2.0)
+        assert ledger.pays(("gc", "rchdroid"), 3, 2.0)
+
+
+class TestCostRule:
+    def test_cheap_prefix_captures_once_per_kind_and_policy(self,
+                                                            host_costs):
+        captures = host_costs(*CHEAP_PREFIX)
+        requests = _multi_group_requests()
+        before = batch.prefix_groups.copy()
+        shared = run_batch(requests, jobs=1, snapshots=True)
+        assert len(captures) == 2
+        counts = batch.prefix_groups - before
+        assert counts == {"forked": 2, "fresh": 4}
+        assert _encoded(shared) == _encoded(
+            run_batch(requests, jobs=1, snapshots=False))
+
+    def test_expensive_prefix_groups_all_fork(self, host_costs):
+        captures = host_costs(*EXPENSIVE_PREFIX)
+        requests = _multi_group_requests()
+        shared = run_batch(requests, jobs=1, snapshots=True)
+        assert len(captures) == 6
+        assert _encoded(shared) == _encoded(
+            run_batch(requests, jobs=1, snapshots=False))
+
+    def test_no_ledger_state_leaks_between_calls(self, host_costs):
+        captures = host_costs(*CHEAP_PREFIX)
+        requests = _multi_group_requests()
+        run_batch(requests, jobs=1, snapshots=True)
+        run_batch(requests, jobs=1, snapshots=True)
+        # Each call learns its own costs: one capture per pair per call.
+        assert len(captures) == 4
+
+    def test_fresh_group_stores_nothing(self, host_costs):
+        host_costs(*CHEAP_PREFIX)
+        ledger = ForkLedger()
+        store = SnapshotStore()
+        _execute_unit(_probe_requests(), store, False, ledger)
+        assert store.stats.stores == 1
+        # Same (kind, policy), another prefix: the ledger now knows a
+        # restore costs more than the prepare it would replace.
+        second = [dataclasses.replace(request, seed=request.seed + 1)
+                  for request in _probe_requests((50.0, 75.0))]
+        results = _execute_unit(second, store, True, ledger)
+        assert store.stats.stores == 1
+        assert _encoded(results) == _encoded(
+            run_batch(second, snapshots=False))
+
+    def test_parallel_batch_matches_serial(self, host_costs):
+        host_costs(*CHEAP_PREFIX)
+        requests = _multi_group_requests()
+        assert (_encoded(run_batch(requests, jobs=2, snapshots=True))
+                == _encoded(run_batch(requests, jobs=1, snapshots=True)))
+
+    @pytest.mark.parametrize("forced", [True, False])
+    def test_hunt_report_is_identical_forced_either_way(self, monkeypatch,
+                                                        forced):
+        settings = HuntSettings(apps=12, jobs=1, cache=False)
+        reference = run_hunt(settings).to_json()
+        monkeypatch.setattr(ForkLedger, "pays",
+                            lambda self, key, cells, prepare_s: forced)
+        before = batch.prefix_groups.copy()
+        assert run_hunt(settings).to_json() == reference
+        counts = batch.prefix_groups - before
+        assert counts["forked" if forced else "fresh"] > 0
+        assert counts["fresh" if forced else "forked"] == 0
 
 
 class TestResolveJobs:
